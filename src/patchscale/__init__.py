@@ -1,112 +1,19 @@
-"""Patch detection and scaling-law analysis for signed trade flows."""
+"""Patch detection and scaling-law analysis for signed trade flows.
 
-from .allometry import (
-    AllometricFit,
-    FirmExponents,
-    LogPoint,
-    bivariate_fit,
-    bootstrap_ci,
-    log_points,
-    pca2,
-    pca3,
-    per_firm_exponents,
-    trivariate_fit,
-)
+The package root carries the end-to-end entry point and the error types;
+the stages are modules of their own (trades, segmentation, patches, tails,
+allometry, lognormal, synth, pipeline, cli).
+"""
+
 from .errors import DataError, NumericalError, PatchscaleError
-from .lognormal import (
-    LognormalityResult,
-    LognormalitySummary,
-    jarque_bera,
-    per_firm_lognormality,
-    pooled_lognormality,
-)
-from .patches import (
-    DirectionalPatch,
-    Patch,
-    classify,
-    cut_patches,
-    directional_patches,
-)
-from .pipeline import RunConfig, emit_plot_data, run_pipeline
-from .segmentation import (
-    CutCandidate,
-    Segmentation,
-    SignificancePolicy,
-    max_t,
-    segment,
-    significance,
-    significance_mc,
-    t_statistic,
-)
-from .synth import GroundTruth, PlantedPackage, SynthConfig, gen_firm_sizes, gen_packages, generate, paper_like
-from .tails import TailFit, ccdf, choose_k, hill
-from .trades import (
-    SignedSeries,
-    Trade,
-    TradeTable,
-    build_series,
-    filter_active_firms,
-    firm_activity,
-    inventory,
-    parse_trades,
-    write_trades,
-)
+from .pipeline import RunConfig, run_pipeline
 
 __all__ = [
-    "AllometricFit",
-    "CutCandidate",
     "DataError",
-    "DirectionalPatch",
-    "FirmExponents",
-    "GroundTruth",
-    "LogPoint",
-    "LognormalityResult",
-    "LognormalitySummary",
     "NumericalError",
-    "Patch",
     "PatchscaleError",
-    "PlantedPackage",
     "RunConfig",
-    "Segmentation",
-    "SignedSeries",
-    "SignificancePolicy",
-    "SynthConfig",
-    "TailFit",
-    "Trade",
-    "TradeTable",
-    "bivariate_fit",
-    "bootstrap_ci",
-    "build_series",
-    "ccdf",
-    "choose_k",
-    "classify",
-    "cut_patches",
-    "directional_patches",
-    "emit_plot_data",
-    "filter_active_firms",
-    "firm_activity",
-    "gen_firm_sizes",
-    "gen_packages",
-    "generate",
-    "hill",
-    "inventory",
-    "jarque_bera",
-    "log_points",
-    "max_t",
-    "paper_like",
-    "parse_trades",
-    "pca2",
-    "pca3",
-    "per_firm_exponents",
-    "per_firm_lognormality",
-    "pooled_lognormality",
     "run_pipeline",
-    "segment",
-    "significance",
-    "significance_mc",
-    "t_statistic",
-    "trivariate_fit",
-    "write_trades",
 ]
 
 __version__ = "0.1.0"

@@ -7,12 +7,12 @@ matrix of natural logs, with percentile-bootstrap confidence intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import NumericalError
-from .patches import DirectionalPatch
+from .patches import VARIABLES, PatchRecord, variables
 
 DEFAULT_BOOTSTRAP_SAMPLES = 1000
 DEFAULT_MIN_FIRM_PATCHES = 10
@@ -22,14 +22,13 @@ _BOOTSTRAP_CHUNK_CELLS = 5_000_000
 
 ESTIMATORS = ("pca2-g", "pca3-g1", "pca3-g2", "pca3-g3")
 
-
-@dataclass(frozen=True, slots=True)
-class LogPoint:
-    """Natural-log coordinates of one directional patch."""
-
-    log_T: float
-    log_N: float
-    log_V: float
+# The (x, y) log-point columns of each pairwise exponent: y ~ x^g.  Columns
+# are (ln T, ln N_m, ln V_m), the order of patches.VARIABLES.
+PAIRS = {
+    "g1": (2, 1),  # N_m vs V_m
+    "g2": (2, 0),  # T vs V_m
+    "g3": (0, 1),  # N_m vs T
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,30 +60,16 @@ class FirmExponents:
     g3: float
 
 
-def log_points(patches: Iterable[DirectionalPatch]) -> tuple[list[LogPoint], int]:
-    """Log coordinates of patches, skipping (and counting) those with T = 0."""
-    points = []
-    skipped = 0
-    for p in patches:
-        if p.T <= 0:
-            skipped += 1
-            continue
-        points.append(LogPoint(float(np.log(p.T)), float(np.log(p.N_m)), float(np.log(p.V_m))))
-    return points, skipped
+def log_points(records: Iterable[PatchRecord]) -> tuple[np.ndarray, int]:
+    """(m, 3) array of (ln T, ln N_m, ln V_m) over directional records.
 
-
-def points_array(points: Sequence[LogPoint]) -> np.ndarray:
-    """(m, 3) array of (log_T, log_N, log_V) rows."""
-    return np.array([(p.log_T, p.log_N, p.log_V) for p in points], dtype=np.float64)
-
-
-def _coerce(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return points.astype(np.float64, copy=False)
-    seq = list(points)
-    if seq and isinstance(seq[0], LogPoint):
-        return points_array(seq)
-    return np.asarray(seq, dtype=np.float64)
+    Records with T = 0 have no log and are skipped; their count is returned
+    alongside.
+    """
+    values = variables(list(records))
+    usable = values["T"] > 0
+    columns = [values[name][usable] for name in VARIABLES]
+    return np.log(np.column_stack(columns)), int((~usable).sum())
 
 
 def _leading_eigen(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +110,7 @@ def pca3(points) -> AllometricFit:
     g1 = a_N/a_V, g2 = a_T/a_V, g3 = a_N/a_T, so g1 = g2*g3 identically; the
     sign is fixed by a_V > 0.
     """
-    pts = _coerce(points)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (m, 3) points, got shape {pts.shape}")
     if len(pts) < 4:
@@ -216,7 +201,7 @@ def bootstrap_ci(
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     if B < 200:
         raise ValueError(f"B must be >= 200, got {B}")
-    pts = _coerce(points)
+    pts = np.asarray(points, dtype=np.float64)
     expected_dims = 2 if estimator == "pca2-g" else 3
     if pts.ndim != 2 or pts.shape[1] != expected_dims:
         raise ValueError(f"{estimator} needs (m, {expected_dims}) points, got {pts.shape}")
@@ -231,7 +216,7 @@ def trivariate_fit(
 ) -> AllometricFit:
     """pca3 plus bootstrap CIs for all three exponents."""
     fit = pca3(points)
-    pts = _coerce(points)
+    pts = np.asarray(points, dtype=np.float64)
     ci95s = {
         name: bootstrap_ci(pts, f"pca3-{name}", B, seed)
         for name in ("g1", "g2", "g3")
@@ -258,18 +243,14 @@ def bivariate_fit(
 
     Unlike the trivariate mode, g1 = g2*g3 holds only approximately here.
     """
-    pts = _coerce(points)
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (m, 3) points, got shape {pts.shape}")
-    pairs = {
-        "g1": pts[:, (2, 1)],  # log V -> log N
-        "g2": pts[:, (2, 0)],  # log V -> log T
-        "g3": pts[:, (0, 1)],  # log T -> log N
-    }
     slopes: dict[str, float] = {}
     shares: dict[str, float] = {}
     ci95s: dict[str, tuple[float, float]] = {}
-    for name, pair_pts in pairs.items():
+    for name, columns in PAIRS.items():
+        pair_pts = pts[:, columns]
         slopes[name], shares[name] = pca2(pair_pts)
         ci95s[name] = bootstrap_ci(pair_pts, "pca2-g", B, seed)
     return AllometricFit(
@@ -286,7 +267,7 @@ def bivariate_fit(
 
 
 def per_firm_exponents(
-    patches: Iterable[DirectionalPatch],
+    records: Iterable[PatchRecord],
     min_patches: int = DEFAULT_MIN_FIRM_PATCHES,
 ) -> dict[str, FirmExponents]:
     """Bivariate exponents per firm with at least min_patches usable patches.
@@ -294,26 +275,17 @@ def per_firm_exponents(
     Patches with T = 0 are unusable in log space and do not count; firms
     whose point cloud is degenerate are omitted.
     """
-    by_firm: dict[str, list[DirectionalPatch]] = {}
-    for p in patches:
-        by_firm.setdefault(p.patch.firm_id, []).append(p)
+    by_firm: dict[str, list[PatchRecord]] = {}
+    for r in records:
+        by_firm.setdefault(r.firm_id, []).append(r)
     out: dict[str, FirmExponents] = {}
     for firm_id in sorted(by_firm):
-        points, _ = log_points(by_firm[firm_id])
-        if len(points) < min_patches:
+        pts, _ = log_points(by_firm[firm_id])
+        if len(pts) < min_patches:
             continue
-        pts = points_array(points)
         try:
-            g1, _ = pca2(pts[:, (2, 1)])
-            g2, _ = pca2(pts[:, (2, 0)])
-            g3, _ = pca2(pts[:, (0, 1)])
+            g = {name: pca2(pts[:, columns])[0] for name, columns in PAIRS.items()}
         except NumericalError:
             continue
-        out[firm_id] = FirmExponents(
-            firm_id=firm_id,
-            n_patches=len(points),
-            g1=g1,
-            g2=g2,
-            g3=g3,
-        )
+        out[firm_id] = FirmExponents(firm_id=firm_id, n_patches=len(pts), **g)
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline
@@ -34,7 +35,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", required=True, help="artifact directory for this run")
     parser.add_argument("--config", metavar="JSON", help="run-config JSON file; explicit flags win")
     parser.add_argument("--seed", type=int, help="top-level seed; stage seeds derive from it")
-    parser.add_argument("--jobs", type=int, help="worker threads for per-series stages")
 
 
 def _add_source(parser: argparse.ArgumentParser) -> None:
@@ -56,7 +56,7 @@ def _add_segment_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_analyze_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", help="tail cutoff policy: auto, fraction:<f>, or fixed:<k>")
+    parser.add_argument("--k-policy", help="tail cutoff policy: auto, fraction:<f>, or fixed:<k>")
     parser.add_argument("--bootstrap-samples", type=int, help="bootstrap resamples for CIs")
     parser.add_argument("--min-firm-patches", type=int, help="patches required to test a firm")
 
@@ -64,6 +64,11 @@ def _add_analyze_flags(parser: argparse.ArgumentParser) -> None:
 def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-trades-per-year", type=int, help="activity filter: trades per year")
     parser.add_argument("--min-active-days", type=int, help="activity filter: active days per year")
+    parser.add_argument(
+        "--activity-mode",
+        choices=("strict", "prorated"),
+        help="activity thresholds as given, or scaled to the part of each year the tape spans",
+    )
 
 
 def build_parser() -> _Parser:
@@ -101,23 +106,6 @@ def build_parser() -> _Parser:
     _add_segment_flags(p)
     _add_analyze_flags(p)
     return parser
-
-
-_FLAG_FIELDS = {
-    "seed": "seed",
-    "jobs": "jobs",
-    "tape": "tape",
-    "threshold": "threshold",
-    "significance_mode": "significance_mode",
-    "mc_trials": "mc_trials",
-    "theta": "theta",
-    "min_patch_trades": "min_patch_trades",
-    "k": "k_policy",
-    "bootstrap_samples": "bootstrap_samples",
-    "min_firm_patches": "min_firm_patches",
-    "min_trades_per_year": "min_trades_per_year",
-    "min_active_days": "min_active_days",
-}
 
 
 def _load_json_file(path: str) -> dict:
@@ -159,11 +147,11 @@ def make_run_config(args: argparse.Namespace) -> pipeline.RunConfig:
     overlay = _load_json_file(args.config) if getattr(args, "config", None) else {}
 
     settings: dict = {key: value for key, value in overlay.items() if key != "synth"}
-    settings["output_dir"] = args.output_dir
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
+    # Each flag's destination is the RunConfig field it sets (--output-dir too).
+    for field in fields(pipeline.RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            settings[field_name] = value
+            settings[field.name] = value
 
     synth_config = _resolve_synth(args, overlay)
     if synth_config is not None and settings.get("tape"):

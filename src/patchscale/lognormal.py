@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .errors import NumericalError
-from .patches import DirectionalPatch
+from .patches import VARIABLES, PatchRecord
 
 ASYMPTOTIC_MIN_N = 50
 CHI2_CRITICAL_95 = float(chi2.ppf(0.95, 2))
@@ -24,8 +24,6 @@ DEFAULT_MIN_FIRM_PATCHES = 10
 # Seed and trial count for the small-sample critical-value tables.
 MC_CRITICAL_SEED = 161803
 MC_CRITICAL_TRIALS = 200_000
-
-VARIABLES = ("T", "N_m", "V_m")
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +113,7 @@ def jarque_bera(xs) -> tuple[float, bool]:
 
 
 def per_firm_lognormality(
-    patches: Iterable[DirectionalPatch],
+    records: Iterable[PatchRecord],
     variable: str,
     min_patches: int = DEFAULT_MIN_FIRM_PATCHES,
 ) -> LognormalitySummary:
@@ -130,10 +128,10 @@ def per_firm_lognormality(
     if min_patches < 8:
         raise ValueError(f"min_patches must be >= 8 for a stable JB test, got {min_patches}")
     by_firm: dict[str, list[float]] = {}
-    for p in patches:
-        value = {"T": p.T, "N_m": p.N_m, "V_m": p.V_m}[variable]
+    for r in records:
+        value = getattr(r, variable)
         if value > 0:
-            by_firm.setdefault(p.patch.firm_id, []).append(float(value))
+            by_firm.setdefault(r.firm_id, []).append(float(value))
     results = []
     for firm_id in sorted(by_firm):
         values = by_firm[firm_id]
@@ -166,14 +164,11 @@ def per_firm_lognormality(
     )
 
 
-def pooled_lognormality(patches: Iterable[DirectionalPatch], variable: str) -> tuple[float, bool]:
+def pooled_lognormality(records: Iterable[PatchRecord], variable: str) -> tuple[float, bool]:
     """JB test of ln(variable) pooled across all firms' patches."""
     if variable not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {variable!r}")
-    values = [
-        float({"T": p.T, "N_m": p.N_m, "V_m": p.V_m}[variable])
-        for p in patches
-    ]
+    values = [float(getattr(r, variable)) for r in records]
     values = [v for v in values if v > 0]
     if len(values) < 8:
         raise NumericalError(f"pooled sample too small for {variable}: {len(values)}")

@@ -13,6 +13,9 @@ DIRECTION_BUY = "buy"
 DIRECTION_SELL = "sell"
 NON_DIRECTIONAL = "none"
 
+# The per-patch variables of the scaling analysis, in log-point column order.
+VARIABLES = ("T", "N_m", "V_m")
+
 DEFAULT_THETA = 0.75
 DEFAULT_MIN_TRADES = 10
 
@@ -38,14 +41,34 @@ class Patch:
 
 
 @dataclass(frozen=True, slots=True)
-class DirectionalPatch:
-    """A buy or sell patch with the variables the scaling analysis consumes."""
+class PatchRecord:
+    """One patches.csv row: a classified patch and the variables the analysis reads.
 
-    patch: Patch
+    T is the time from the first to the last trade; N_m and V_m are the
+    dominant side's trade count and value, and are None exactly when the
+    direction is non-directional.
+    """
+
+    firm_id: str
+    stock_id: str
+    start: int
+    end: int
     direction: str
     T: int
-    N_m: int
-    V_m: float
+    N_m: int | None
+    V_m: float | None
+    V_b: float
+    V_s: float
+
+    def __post_init__(self) -> None:
+        if self.direction not in (DIRECTION_BUY, DIRECTION_SELL, NON_DIRECTIONAL):
+            raise ValueError(f"direction must be buy, sell or none, got {self.direction!r}")
+        directional = self.direction != NON_DIRECTIONAL
+        if (self.N_m is not None, self.V_m is not None) != (directional, directional):
+            raise ValueError(
+                f"N_m and V_m must be given exactly for buy and sell rows, got a {self.direction!r} "
+                f"row with N_m={self.N_m!r}, V_m={self.V_m!r}"
+            )
 
 
 def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
@@ -99,45 +122,47 @@ def classify(patch: Patch, theta: float = DEFAULT_THETA) -> str:
     return NON_DIRECTIONAL
 
 
-def as_directional(patch: Patch, direction: str) -> DirectionalPatch:
-    """Attach (T, N_m, V_m) for an already-classified buy or sell patch."""
+def record(patch: Patch, direction: str) -> PatchRecord:
+    """The patches.csv record of a patch classified as direction."""
     if direction == DIRECTION_BUY:
         n_m, v_m = patch.n_buy, patch.V_b
     elif direction == DIRECTION_SELL:
         n_m, v_m = patch.n_sell, patch.V_s
     else:
-        raise ValueError(f"direction must be buy or sell, got {direction!r}")
-    return DirectionalPatch(
-        patch=patch,
+        n_m = v_m = None
+    return PatchRecord(
+        firm_id=patch.firm_id,
+        stock_id=patch.stock_id,
+        start=patch.start,
+        end=patch.end,
         direction=direction,
         T=patch.t_last - patch.t_first,
         N_m=n_m,
         V_m=v_m,
+        V_b=patch.V_b,
+        V_s=patch.V_s,
     )
 
 
-def directional_patches(
-    series: SignedSeries,
-    seg: Segmentation,
-    theta: float = DEFAULT_THETA,
-    min_trades: int = DEFAULT_MIN_TRADES,
-) -> list[DirectionalPatch]:
-    """Buy/sell patches with at least min_trades total trades, in series order."""
-    out = []
-    for patch in cut_patches(series, seg):
-        if patch.end - patch.start < min_trades:
-            continue
-        direction = classify(patch, theta)
-        if direction == NON_DIRECTIONAL:
-            continue
-        out.append(as_directional(patch, direction))
-    return out
+def as_directional(patch: Patch, direction: str) -> PatchRecord:
+    """The record of an already-classified buy or sell patch."""
+    if direction not in (DIRECTION_BUY, DIRECTION_SELL):
+        raise ValueError(f"direction must be buy or sell, got {direction!r}")
+    return record(patch, direction)
 
 
-def variables(patches: list[DirectionalPatch]) -> dict[str, np.ndarray]:
-    """Arrays of T, N_m, V_m across patches, keyed by variable name."""
+def select_directional(
+    records: list[PatchRecord], min_trades: int = DEFAULT_MIN_TRADES
+) -> list[PatchRecord]:
+    """Buy and sell records spanning at least min_trades trades, in input order."""
+    return [
+        r for r in records if r.end - r.start >= min_trades and r.direction != NON_DIRECTIONAL
+    ]
+
+
+def variables(records: list[PatchRecord]) -> dict[str, np.ndarray]:
+    """Arrays of T, N_m, V_m across directional records, keyed by variable name."""
     return {
-        "T": np.array([p.T for p in patches], dtype=np.float64),
-        "N_m": np.array([p.N_m for p in patches], dtype=np.float64),
-        "V_m": np.array([p.V_m for p in patches], dtype=np.float64),
+        name: np.array([getattr(r, name) for r in records], dtype=np.float64)
+        for name in VARIABLES
     }

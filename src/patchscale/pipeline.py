@@ -19,8 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,30 +28,14 @@ import numpy as np
 from . import allometry, lognormal, patches, segmentation, tails
 from .errors import DataError, NumericalError
 from .synth import GroundTruth, SynthConfig, generate
-from .trades import SignedSeries, TradeTable, filter_active_firms
-from .patches import DirectionalPatch, NON_DIRECTIONAL, Patch
+from .trades import TradeTable, filter_active_firms
+from .patches import NON_DIRECTIONAL, VARIABLES, PatchRecord
 
 REPORT_SCHEMA_VERSION = 1
 FAILURE_MARKER = "FAILED.json"
 
-PATCH_CSV_HEADER = (
-    "firm_id",
-    "stock_id",
-    "start",
-    "end",
-    "direction",
-    "T",
-    "N_m",
-    "V_m",
-    "V_b",
-    "V_s",
-)
-
-_PAIR_AXES = {
-    "g1": ("log_V_m", "log_N_m"),
-    "g2": ("log_V_m", "log_T"),
-    "g3": ("log_T", "log_N_m"),
-}
+PATCH_CSV_HEADER = tuple(f.name for f in fields(PatchRecord))
+_patch_csv_row = attrgetter(*PATCH_CSV_HEADER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +62,6 @@ class RunConfig:
     min_trades_per_year: int = 1000
     min_active_days: int = 200
     activity_mode: str = "strict"
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.tape is not None and self.synth is not None:
@@ -104,8 +87,6 @@ class RunConfig:
             raise ValueError("activity thresholds must be >= 0")
         if self.activity_mode not in ("strict", "prorated"):
             raise ValueError(f"activity mode must be strict or prorated, got {self.activity_mode!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.tape is not None and not Path(self.tape).is_file():
             raise ValueError(f"tape path not found: {self.tape}")
 
@@ -246,23 +227,6 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
     return table, qualified
 
 
-def _segment_one(
-    series: SignedSeries, config: RunConfig, policy: segmentation.SignificancePolicy
-) -> tuple[dict, list[tuple[Patch, str, int]]]:
-    seg = segmentation.segment(series, config.threshold, policy=policy)
-    rows = []
-    for patch in patches.cut_patches(series, seg):
-        direction = patches.classify(patch, config.theta)
-        rows.append((patch, direction, patch.t_last - patch.t_first))
-    export = {
-        "firm_id": series.firm_id,
-        "stock_id": series.stock_id,
-        "threshold": config.threshold,
-        "boundaries": list(seg.boundaries),
-    }
-    return export, rows
-
-
 def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
     """Segment every qualifying series and export segmentations plus patches.
 
@@ -278,18 +242,22 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
         mc_trials=config.mc_trials,
         seed=int(np.random.SeedSequence([config.seed, 2]).generate_state(1)[0]),
     )
-    series_list = list(table.iter_series(qualified if len(qualified) < len(table.firms) else None))
-
-    def work(series: SignedSeries):
-        return _segment_one(series, config, policy)
-
-    if config.jobs > 1 and len(series_list) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(work, series_list))
-    else:
-        results = [work(series) for series in series_list]
-
-    exports = [export for export, _ in results]
+    exports = []
+    records = []
+    for series in table.iter_series(qualified if len(qualified) < len(table.firms) else None):
+        seg = segmentation.segment(series, config.threshold, policy=policy)
+        exports.append(
+            {
+                "firm_id": series.firm_id,
+                "stock_id": series.stock_id,
+                "threshold": config.threshold,
+                "boundaries": list(seg.boundaries),
+            }
+        )
+        records.extend(
+            patches.record(patch, patches.classify(patch, config.theta))
+            for patch in patches.cut_patches(series, seg)
+        )
     _write_json(
         config.out() / "segmentations.json",
         {
@@ -299,56 +267,14 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
             "series": exports,
         },
     )
-    csv_rows = []
-    for _, rows in results:
-        for patch, direction, duration in rows:
-            directional = direction != NON_DIRECTIONAL
-            if directional:
-                dp = patches.as_directional(patch, direction)
-                n_m: int | str = dp.N_m
-                v_m: float | str = repr(dp.V_m)
-            else:
-                n_m = ""
-                v_m = ""
-            csv_rows.append(
-                (
-                    patch.firm_id,
-                    patch.stock_id,
-                    patch.start,
-                    patch.end,
-                    direction,
-                    duration,
-                    n_m,
-                    v_m,
-                    repr(patch.V_b),
-                    repr(patch.V_s),
-                )
-            )
     path = config.out() / "patches.csv"
-    _write_csv(path, PATCH_CSV_HEADER, csv_rows)
+    # csv writes None as an empty field and a float as its repr.
+    _write_csv(path, PATCH_CSV_HEADER, map(_patch_csv_row, records))
     return path
 
 
-@dataclass(frozen=True, slots=True)
-class PatchRow:
-    """One patches.csv row, as typed fields."""
-
-    firm_id: str
-    stock_id: str
-    start: int
-    end: int
-    direction: str
-    T: int
-    N_m: int | None
-    V_m: float | None
-    V_b: float
-    V_s: float
-
-    def trades(self) -> int:
-        return self.end - self.start
-
-
-def read_patch_rows(path: Path) -> list[PatchRow]:
+def read_patch_rows(path: Path) -> list[PatchRecord]:
+    """The records of patches.csv; a malformed row raises DataError with its line."""
     if not path.is_file():
         raise DataError(f"missing artifact {path}; run the segment stage first")
     rows = []
@@ -357,56 +283,27 @@ def read_patch_rows(path: Path) -> list[PatchRow]:
         header = next(reader, None)
         if header is None or tuple(header) != PATCH_CSV_HEADER:
             raise DataError(f"{path}: bad patch CSV header {header!r}")
-        for line_no, fields in enumerate(reader, start=2):
-            if len(fields) != len(PATCH_CSV_HEADER):
+        for line_no, cells in enumerate(reader, start=2):
+            if len(cells) != len(PATCH_CSV_HEADER):
                 raise DataError(f"{path}: line {line_no}: expected {len(PATCH_CSV_HEADER)} fields")
             try:
                 rows.append(
-                    PatchRow(
-                        firm_id=fields[0],
-                        stock_id=fields[1],
-                        start=int(fields[2]),
-                        end=int(fields[3]),
-                        direction=fields[4],
-                        T=int(fields[5]),
-                        N_m=int(fields[6]) if fields[6] else None,
-                        V_m=float(fields[7]) if fields[7] else None,
-                        V_b=float(fields[8]),
-                        V_s=float(fields[9]),
+                    PatchRecord(
+                        firm_id=cells[0],
+                        stock_id=cells[1],
+                        start=int(cells[2]),
+                        end=int(cells[3]),
+                        direction=cells[4],
+                        T=int(cells[5]),
+                        N_m=int(cells[6]) if cells[6] else None,
+                        V_m=float(cells[7]) if cells[7] else None,
+                        V_b=float(cells[8]),
+                        V_s=float(cells[9]),
                     )
                 )
-            except ValueError:
-                raise DataError(f"{path}: line {line_no}: malformed patch row") from None
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line_no}: malformed patch row: {exc}") from None
     return rows
-
-
-def _as_directional_patch(row: PatchRow) -> DirectionalPatch:
-    # Absolute times are not part of the patch export; T alone matters downstream.
-    assert row.N_m is not None and row.V_m is not None
-    total = row.trades()
-    n_buy = row.N_m if row.direction == patches.DIRECTION_BUY else total - row.N_m
-    base = Patch(
-        firm_id=row.firm_id,
-        stock_id=row.stock_id,
-        start=row.start,
-        end=row.end,
-        V_b=row.V_b,
-        V_s=row.V_s,
-        V=row.V_b + row.V_s,
-        n_buy=n_buy,
-        n_sell=total - n_buy,
-        t_first=0,
-        t_last=row.T,
-    )
-    return DirectionalPatch(patch=base, direction=row.direction, T=row.T, N_m=row.N_m, V_m=row.V_m)
-
-
-def _select_directional(rows: list[PatchRow], config: RunConfig) -> list[DirectionalPatch]:
-    return [
-        _as_directional_patch(row)
-        for row in rows
-        if row.trades() >= config.min_patch_trades and row.direction != NON_DIRECTIONAL
-    ]
 
 
 def _tail_section(values: np.ndarray, variable: str, config: RunConfig) -> dict:
@@ -455,12 +352,12 @@ def _allometric_payload(fit: allometry.AllometricFit) -> dict:
 
 
 def _lognormality_sections(
-    directional: list[DirectionalPatch], config: RunConfig
+    directional: list[PatchRecord], config: RunConfig
 ) -> tuple[dict, dict, list[lognormal.LognormalityResult]]:
     per_firm: dict = {}
     pooled: dict = {}
     results: list[lognormal.LognormalityResult] = []
-    for variable in lognormal.VARIABLES:
+    for variable in VARIABLES:
         try:
             summary = lognormal.per_firm_lognormality(
                 directional, variable, config.min_firm_patches
@@ -493,13 +390,13 @@ def _dispersion(values: list[float]) -> dict:
     }
 
 
-def analyze_stock(rows: list[PatchRow], config: RunConfig, bootstrap_seed: int) -> dict:
+def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: int) -> dict:
     """All per-stock statistics from that stock's patch rows."""
     total = len(rows)
-    big_enough = [row for row in rows if row.trades() >= config.min_patch_trades]
+    big_enough = [row for row in rows if row.end - row.start >= config.min_patch_trades]
     below_min = total - len(big_enough)
     non_directional = sum(1 for row in big_enough if row.direction == NON_DIRECTIONAL)
-    directional = _select_directional(rows, config)
+    directional = patches.select_directional(rows, config.min_patch_trades)
     counts = {
         "patches_total": total,
         "patches_below_min_trades": below_min,
@@ -513,7 +410,7 @@ def analyze_stock(rows: list[PatchRow], config: RunConfig, bootstrap_seed: int) 
     values = patches.variables(directional)
     tail_fits = {
         variable: _tail_section(values[variable], variable, config)
-        for variable in lognormal.VARIABLES
+        for variable in VARIABLES
     }
 
     points, skipped_log = allometry.log_points(directional)
@@ -557,7 +454,7 @@ def analyze_stock(rows: list[PatchRow], config: RunConfig, bootstrap_seed: int) 
 def run_analyze(config: RunConfig) -> dict[str, dict]:
     """Per-stock scaling statistics written under analysis/<stock>/."""
     rows = read_patch_rows(config.out() / "patches.csv")
-    by_stock: dict[str, list[PatchRow]] = {}
+    by_stock: dict[str, list[PatchRecord]] = {}
     for row in rows:
         by_stock.setdefault(row.stock_id, []).append(row)
     bootstrap_seed = int(np.random.SeedSequence([config.seed, 3]).generate_state(1)[0])
@@ -599,16 +496,6 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
     return analysis
 
 
-def _log_pair_points(directional: list[DirectionalPatch]) -> dict[str, np.ndarray]:
-    points, _ = allometry.log_points(directional)
-    pts = allometry.points_array(points) if points else np.empty((0, 3))
-    return {
-        "g1": pts[:, (2, 1)],
-        "g2": pts[:, (2, 0)],
-        "g3": pts[:, (0, 1)],
-    }
-
-
 def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[str, str]]:
     centroid = pair_pts.mean(axis=0)
     lo = float(pair_pts[:, 0].min())
@@ -624,16 +511,16 @@ def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[str, str]]:
 def emit_plot_data(config: RunConfig) -> list[Path]:
     """CCDF, log-log scatter with fitted axis, and exponent histogram CSVs."""
     rows = read_patch_rows(config.out() / "patches.csv")
-    by_stock: dict[str, list[PatchRow]] = {}
+    by_stock: dict[str, list[PatchRecord]] = {}
     for row in rows:
         by_stock.setdefault(row.stock_id, []).append(row)
     names = stock_dir_names(list(by_stock))
     written: list[Path] = []
     for stock_id in sorted(by_stock):
         stock_out = config.out() / "plots" / names[stock_id]
-        directional = _select_directional(by_stock[stock_id], config)
+        directional = patches.select_directional(by_stock[stock_id], config.min_patch_trades)
         values = patches.variables(directional)
-        for variable in lognormal.VARIABLES:
+        for variable in VARIABLES:
             positive = values[variable][values[variable] > 0]
             pairs = tails.ccdf(positive) if len(positive) else []
             path = stock_out / f"ccdf_{variable}.csv"
@@ -643,17 +530,19 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
         allo_path = config.out() / "analysis" / names[stock_id] / "allometry.json"
         allo = _read_json(allo_path)
         slopes = allo.get("bivariate", {})
-        pair_points = _log_pair_points(directional)
-        for name, (x_label, y_label) in _PAIR_AXES.items():
-            pair_pts = pair_points[name]
-            scatter = stock_out / f"scatter_{name}_{y_label[4:]}_vs_{x_label[4:]}.csv"
+        pts, _ = allometry.log_points(directional)
+        for name, columns in allometry.PAIRS.items():
+            pair_pts = pts[:, columns]
+            x_name, y_name = (VARIABLES[c] for c in columns)
+            label = f"{name}_{y_name}_vs_{x_name}"
+            scatter = stock_out / f"scatter_{label}.csv"
             _write_csv(
                 scatter,
                 ("log_x", "log_y"),
                 ((repr(float(x)), repr(float(y))) for x, y in pair_pts),
             )
             written.append(scatter)
-            axis_path = stock_out / f"axis_{name}_{y_label[4:]}_vs_{x_label[4:]}.csv"
+            axis_path = stock_out / f"axis_{label}.csv"
             if len(pair_pts) and isinstance(slopes.get(name), (int, float)):
                 axis_rows = _axis_rows(pair_pts, float(slopes[name]))
             else:
@@ -691,7 +580,7 @@ def _report_tables(config: RunConfig, report: dict) -> None:
     logn_rows = []
     count_rows = []
     for stock_id, section in sorted(report["stocks"].items()):
-        for variable in lognormal.VARIABLES:
+        for variable in VARIABLES:
             fit = section["tails"][variable]
             if "zeta" in fit:
                 tails_rows.append(
@@ -716,7 +605,7 @@ def _report_tables(config: RunConfig, report: dict) -> None:
                     allo_rows.append(
                         (stock_id, mode, name, repr(fit[name]), repr(ci[0]), repr(ci[1]), fit["n_points"])
                     )
-        for variable in lognormal.VARIABLES:
+        for variable in VARIABLES:
             per_firm = section["lognormality"]["per_firm"][variable]
             pooled = section["lognormality"]["pooled"][variable]
             logn_rows.append(
@@ -819,9 +708,6 @@ def run_report(config: RunConfig) -> dict:
     _report_tables(config, report)
     emit_plot_data(config)
     return report
-
-
-_STAGES = ("synth", "ingest", "segment", "analyze", "report")
 
 
 def run_pipeline(config: RunConfig) -> dict:

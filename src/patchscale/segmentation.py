@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,11 +34,10 @@ DEFAULT_MC_SEED = 271828
 
 @dataclass(frozen=True, slots=True)
 class CutCandidate:
-    """Best split of a window: position, its t value, and (once gated) significance."""
+    """Best split of a window: position and its t value."""
 
     position: int
     t_value: float
-    significance: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,12 +51,12 @@ class Segmentation:
         return list(zip(self.boundaries[:-1], self.boundaries[1:]))
 
 
-def t_statistic(values: Sequence[float], split: int, *, welch: bool = False) -> float:
-    """Two-sample t between values[:split] and values[split:].
+def t_statistic(values: Sequence[float], split: int) -> float:
+    """Pooled-variance two-sample t between values[:split] and values[split:].
 
-    Pooled-variance form by default; welch=True uses the Welch denominator.
-    When the variance vanishes entirely, returns +inf for distinct means and
-    0.0 for equal means (a deterministic step is maximally significant).
+    The direct form, kept as the oracle for the prefix-sum scan.  When the
+    variance vanishes entirely, returns +inf for distinct means and 0.0 for
+    equal means (a deterministic step is maximally significant).
     """
     x = np.asarray(values, dtype=np.float64)
     n_left = split
@@ -67,13 +66,8 @@ def t_statistic(values: Sequence[float], split: int, *, welch: bool = False) -> 
     left = x[:split]
     right = x[split:]
     diff = abs(float(left.mean()) - float(right.mean()))
-    if welch:
-        denom_sq = left.var(ddof=1) / n_left + right.var(ddof=1) / n_right
-    else:
-        pooled = (left.var(ddof=0) * n_left + right.var(ddof=0) * n_right) / (
-            n_left + n_right - 2
-        )
-        denom_sq = pooled * (1.0 / n_left + 1.0 / n_right)
+    pooled = (left.var(ddof=0) * n_left + right.var(ddof=0) * n_right) / (n_left + n_right - 2)
+    denom_sq = pooled * (1.0 / n_left + 1.0 / n_right)
     if denom_sq <= 0.0:
         return float("inf") if diff > 0.0 else 0.0
     return diff / float(np.sqrt(denom_sq))
@@ -88,7 +82,7 @@ class _Prefix:
         self.sums = np.concatenate(([0.0], np.cumsum(values)))
         self.sq_sums = np.concatenate(([0.0], np.cumsum(values * values)))
 
-    def range_t(self, lo: int, mid: int, hi: int, *, welch: bool = False) -> float:
+    def range_t(self, lo: int, mid: int, hi: int) -> float:
         """t between [lo, mid) and [mid, hi)."""
         n_left = mid - lo
         n_right = hi - mid
@@ -99,17 +93,12 @@ class _Prefix:
             self.sq_sums[hi] - self.sq_sums[mid] - sum_right * sum_right / n_right, 0.0
         )
         diff = abs(sum_left / n_left - sum_right / n_right)
-        if welch:
-            denom_sq = ss_left / (n_left - 1) / n_left + ss_right / (n_right - 1) / n_right
-        else:
-            denom_sq = (ss_left + ss_right) / (n_left + n_right - 2) * (
-                1.0 / n_left + 1.0 / n_right
-            )
+        denom_sq = (ss_left + ss_right) / (n_left + n_right - 2) * (1.0 / n_left + 1.0 / n_right)
         if denom_sq <= 0.0:
             return float("inf") if diff > 0.0 else 0.0
         return diff / float(np.sqrt(denom_sq))
 
-    def scan(self, lo: int, hi: int, *, welch: bool = False) -> tuple[int, float]:
+    def scan(self, lo: int, hi: int) -> tuple[int, float]:
         """Position and value of the maximum t over all admissible splits of [lo, hi)."""
         positions = np.arange(lo + 2, hi - 1)
         n_left = (positions - lo).astype(np.float64)
@@ -125,10 +114,7 @@ class _Prefix:
         np.maximum(ss_left, 0.0, out=ss_left)
         np.maximum(ss_right, 0.0, out=ss_right)
         diff = np.abs(sum_left / n_left - sum_right / n_right)
-        if welch:
-            denom_sq = ss_left / (n_left - 1) / n_left + ss_right / (n_right - 1) / n_right
-        else:
-            denom_sq = (ss_left + ss_right) / (hi - lo - 2) * (1.0 / n_left + 1.0 / n_right)
+        denom_sq = (ss_left + ss_right) / (hi - lo - 2) * (1.0 / n_left + 1.0 / n_right)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = diff / np.sqrt(denom_sq)
         degenerate = denom_sq <= 0.0
@@ -272,7 +258,6 @@ def segment(
     threshold: float = DEFAULT_THRESHOLD,
     *,
     policy: SignificancePolicy | None = None,
-    welch: bool = False,
 ) -> Segmentation:
     """Recursively partition a series into homogeneous segments.
 
@@ -300,31 +285,24 @@ def segment(
         lo, hi = stack.pop()
         if hi - lo < 4:
             continue
-        position, t_value = prefix.scan(lo, hi, welch=welch)
+        position, t_value = prefix.scan(lo, hi)
         if policy.significance(t_value, hi - lo) < threshold:
             continue
         left_at = bisect_right(boundaries, lo) - 1
         if left_at > 0:
             prev = boundaries[left_at - 1]
             if lo - prev >= 2 and position - lo >= 2:
-                t_neighbor = prefix.range_t(prev, lo, position, welch=welch)
+                t_neighbor = prefix.range_t(prev, lo, position)
                 if policy.significance(t_neighbor, position - prev) < threshold:
                     continue
         right_at = bisect_right(boundaries, hi) - 1
         if right_at < len(boundaries) - 1:
             nxt = boundaries[right_at + 1]
             if nxt - hi >= 2 and hi - position >= 2:
-                t_neighbor = prefix.range_t(position, hi, nxt, welch=welch)
+                t_neighbor = prefix.range_t(position, hi, nxt)
                 if policy.significance(t_neighbor, nxt - position) < threshold:
                     continue
         insort(boundaries, position)
         stack.append((position, hi))
         stack.append((lo, position))
     return Segmentation(boundaries=tuple(boundaries), threshold=threshold)
-
-
-def gate(candidate: CutCandidate, n: int, policy: SignificancePolicy | None = None) -> CutCandidate:
-    """Candidate with its significance filled in under the given policy."""
-    if policy is None:
-        policy = SignificancePolicy()
-    return replace(candidate, significance=policy.significance(candidate.t_value, n))

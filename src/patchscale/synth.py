@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -413,9 +412,3 @@ def generate(config: SynthConfig) -> tuple[TradeTable, GroundTruth]:
         firm_sizes={firm_ids[i]: float(sizes[i]) for i in range(config.n_firms)},
     )
     return table, truth
-
-
-def iter_planted_series(truth: GroundTruth) -> Iterator[tuple[str, list[PlantedPackage]]]:
-    grouped = truth.by_firm()
-    for firm_id in sorted(grouped):
-        yield firm_id, grouped[firm_id]

@@ -66,23 +66,6 @@ def hill(xs, k: int, variable: str = "") -> TailFit:
     )
 
 
-def hill_bootstrap_ci(xs, k: int, B: int = 1000, seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap 95% interval for the Hill estimate at fixed k."""
-    srt = _positive_sorted_desc(xs)
-    n = len(srt)
-    if not 1 <= k < n:
-        raise NumericalError(f"k must be in [1, n-1], got k={k} with n={n}")
-    rng = np.random.default_rng(seed)
-    estimates = np.empty(B)
-    logs = np.log(srt[::-1])
-    for b in range(B):
-        sample = rng.choice(logs, size=n, replace=True)
-        top = np.partition(sample, n - k - 1)[n - k - 1 :]
-        top.sort()
-        estimates[b] = k / float((top[1:] - top[0]).sum())
-    return float(np.quantile(estimates, 0.025)), float(np.quantile(estimates, 0.975))
-
-
 def _hill_all_k(srt: np.ndarray) -> np.ndarray:
     """Hill estimate for every k in [1, n-1]; index k-1 holds the k estimate."""
     logs = np.log(srt)

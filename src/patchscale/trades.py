@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -19,17 +19,6 @@ SELL = "S"
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _SECONDS_PER_DAY = 86400
-
-
-@dataclass(frozen=True, slots=True)
-class Trade:
-    """One transaction: integer-second timestamp, firm, stock, side, positive value."""
-
-    timestamp: int
-    firm_id: str
-    stock_id: str
-    side: str
-    value: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,9 +37,6 @@ class SignedSeries:
     def __len__(self) -> int:
         return len(self.signed_values)
 
-    def entries(self) -> Iterator[tuple[int, float]]:
-        return zip(self.timestamps.tolist(), self.signed_values.tolist())
-
 
 @dataclass(frozen=True, slots=True)
 class FirmActivity:
@@ -64,78 +50,35 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _parse_row(fields: list[str], line_no: int) -> Trade:
+def _row_error(fields: list[str], line_no: int) -> DataError:
+    """The error naming what is wrong with a malformed trade-CSV row."""
     if len(fields) != 5:
-        raise DataError(f"line {line_no}: expected 5 fields, got {len(fields)}")
-    raw_ts, firm_id, stock_id, side, raw_value = fields
+        return DataError(f"line {line_no}: expected 5 fields, got {len(fields)}")
+    raw_ts, _, _, side, raw_value = fields
     try:
         timestamp = int(raw_ts)
     except ValueError:
-        raise DataError(f"line {line_no}: bad timestamp {raw_ts!r}") from None
+        return DataError(f"line {line_no}: bad timestamp {raw_ts!r}")
     if timestamp < 0:
-        raise DataError(f"line {line_no}: negative timestamp {timestamp}")
+        return DataError(f"line {line_no}: negative timestamp {timestamp}")
     if side not in (BUY, SELL):
-        raise DataError(f"line {line_no}: side must be B or S, got {side!r}")
+        return DataError(f"line {line_no}: side must be B or S, got {side!r}")
     try:
         value = float(raw_value)
     except ValueError:
-        raise DataError(f"line {line_no}: bad value {raw_value!r}") from None
+        return DataError(f"line {line_no}: bad value {raw_value!r}")
+    if not math.isfinite(value):
+        return DataError(f"line {line_no}: value must be finite, got {raw_value}")
     if not value > 0:
-        raise DataError(f"line {line_no}: value must be strictly positive, got {raw_value}")
-    return Trade(timestamp, firm_id, stock_id, side, value)
-
-
-def _open_text(source) -> tuple[io.TextIOBase, bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise DataError(f"unsupported trade source {type(source).__name__}")
-
-
-def parse_trades(source) -> list[Trade]:
-    """Parse trade-CSV into Trade records, in file order.
-
-    Accepts a path, bytes, or an open text/binary handle.  Raises DataError
-    with the offending line number on any malformed row; zero or negative
-    values are rejected because a signed value of 0 has no side.
-    """
-    handle, owns = _open_text(source)
-    try:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input: missing trade-CSV header") from None
-        if tuple(header) != TRADE_CSV_HEADER:
-            raise DataError(f"bad header {header!r}, expected {','.join(TRADE_CSV_HEADER)}")
-        return [_parse_row(fields, line_no) for line_no, fields in enumerate(reader, start=2)]
-    finally:
-        if owns:
-            handle.close()
-
-
-def write_trades(trades: Iterable[Trade], path: str | Path) -> None:
-    """Serialize trades to trade-CSV; parsing the output reproduces the input."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRADE_CSV_HEADER)
-        writer.writerows(
-            (trade.timestamp, trade.firm_id, trade.stock_id, trade.side, repr(trade.value))
-            for trade in trades
-        )
+        return DataError(f"line {line_no}: value must be strictly positive, got {raw_value}")
+    return DataError(f"line {line_no}: malformed row")
 
 
 class TradeTable:
-    """Column-oriented trade store for whole-tape operations.
+    """Column-oriented trade tape: one aligned numpy array per trade-CSV column.
 
-    Holds the same information as a Trade sequence but as aligned numpy
-    arrays, with firm and stock identifiers interned into code arrays.
+    Firm and stock identifiers are interned into code arrays; sides are
+    signs (+1 buy, -1 sell).
     """
 
     def __init__(
@@ -196,17 +139,12 @@ class TradeTable:
         )
 
     @classmethod
-    def from_trades(cls, trades: Sequence[Trade]) -> TradeTable:
-        return cls.from_rows(
-            [t.timestamp for t in trades],
-            [t.firm_id for t in trades],
-            [t.stock_id for t in trades],
-            [1 if t.side == BUY else -1 for t in trades],
-            [t.value for t in trades],
-        )
-
-    @classmethod
     def from_csv(cls, path: str | Path) -> TradeTable:
+        """Parse a trade CSV; a malformed row raises DataError with its line number.
+
+        Values must be finite and strictly positive: a signed value of 0 has
+        no side.
+        """
         timestamps: list[int] = []
         firm_ids: list[str] = []
         stock_ids: list[str] = []
@@ -227,14 +165,13 @@ class TradeTable:
                     ok = (
                         len(fields) == 5
                         and timestamp >= 0
-                        and value > 0
+                        and 0.0 < value < math.inf
                         and fields[3] in (BUY, SELL)
                     )
                 except (ValueError, IndexError):
                     ok = False
                 if not ok:
-                    _parse_row(fields, line_no)
-                    raise DataError(f"line {line_no}: malformed row")
+                    raise _row_error(fields, line_no)
                 timestamps.append(timestamp)
                 firm_ids.append(fields[1])
                 stock_ids.append(fields[2])
@@ -258,18 +195,6 @@ class TradeTable:
                     (repr(v) for v in self.values.tolist()),
                 )
             )
-
-    def to_trades(self) -> list[Trade]:
-        return [
-            Trade(ts, self.firms[f], self.stocks[s], BUY if sign == 1 else SELL, value)
-            for ts, f, s, sign, value in zip(
-                self.timestamps.tolist(),
-                self.firm_codes.tolist(),
-                self.stock_codes.tolist(),
-                self.signs.tolist(),
-                self.values.tolist(),
-            )
-        ]
 
     def iter_series(self, firm_ids: set[str] | None = None) -> Iterator[SignedSeries]:
         """Yield one SignedSeries per (firm, stock) pair, ordered by identifier.
@@ -356,12 +281,6 @@ class TradeTable:
         return int(self.timestamps.min()), int(self.timestamps.max())
 
 
-def _as_table(trades) -> TradeTable:
-    if isinstance(trades, TradeTable):
-        return trades
-    return TradeTable.from_trades(list(trades))
-
-
 def _year_coverage(span: tuple[int, int], year: int) -> float:
     year_start = (date(year, 1, 1).toordinal() - _EPOCH_ORDINAL) * _SECONDS_PER_DAY
     year_end = (date(year + 1, 1, 1).toordinal() - _EPOCH_ORDINAL) * _SECONDS_PER_DAY
@@ -370,12 +289,8 @@ def _year_coverage(span: tuple[int, int], year: int) -> float:
     return max(hi - lo, 0) / (year_end - year_start)
 
 
-def firm_activity(trades) -> dict[str, FirmActivity]:
-    return _as_table(trades).activity()
-
-
 def filter_active_firms(
-    trades,
+    table: TradeTable,
     min_trades_per_year: int = 1000,
     min_active_days: int = 200,
     *,
@@ -392,7 +307,6 @@ def filter_active_firms(
     """
     if mode not in ("strict", "prorated"):
         raise ValueError(f"mode must be strict or prorated, got {mode!r}")
-    table = _as_table(trades)
     if len(table) == 0:
         return set()
     activity = table.activity()
@@ -412,31 +326,3 @@ def filter_active_firms(
         if ok:
             qualified.add(firm_id)
     return qualified
-
-
-def build_series(trades, firm_id: str, stock_id: str) -> SignedSeries:
-    """Time-ordered signed values of one firm in one stock; +value buys, -value sells."""
-    if isinstance(trades, TradeTable):
-        for series in trades.iter_series({firm_id}):
-            if series.stock_id == stock_id:
-                return series
-        matching: list[Trade] = []
-    else:
-        matching = [t for t in trades if t.firm_id == firm_id and t.stock_id == stock_id]
-    matching.sort(key=lambda t: t.timestamp)
-    timestamps = np.array([t.timestamp for t in matching], dtype=np.int64)
-    signed = np.array(
-        [t.value if t.side == BUY else -t.value for t in matching], dtype=np.float64
-    )
-    return SignedSeries(
-        firm_id=firm_id,
-        stock_id=stock_id,
-        timestamps=_frozen(timestamps),
-        signed_values=_frozen(signed),
-    )
-
-
-def inventory(series: SignedSeries) -> list[tuple[int, float]]:
-    """Running net position: k-th value is the sum of the first k signed values."""
-    cumulative = np.cumsum(series.signed_values)
-    return list(zip(series.timestamps.tolist(), cumulative.tolist()))

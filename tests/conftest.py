@@ -5,18 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from patchscale import Patch, DirectionalPatch, RunConfig, SignedSeries, Trade, TradeTable
-from patchscale.pipeline import run_pipeline
+from patchscale.patches import Patch, PatchRecord
+from patchscale.pipeline import RunConfig, run_pipeline
 from patchscale.synth import small_preset
-
-
-def make_trades(rows):
-    """Trades from (timestamp, firm_id, stock_id, side, value) tuples."""
-    return [Trade(ts, firm, stock, side, value) for ts, firm, stock, side, value in rows]
+from patchscale.trades import SignedSeries, TradeTable
 
 
 def make_table(rows) -> TradeTable:
-    return TradeTable.from_trades(make_trades(rows))
+    """Table from (timestamp, firm_id, stock_id, side, value) tuples, side B or S."""
+    columns = list(zip(*rows)) or [[]] * 5
+    timestamps, firm_ids, stock_ids, sides, values = (list(c) for c in columns)
+    signs = [1 if side == "B" else -1 for side in sides]
+    return TradeTable.from_rows(timestamps, firm_ids, stock_ids, signs, values)
+
+
+def write_tape(rows, path) -> None:
+    """Trade CSV at path from (timestamp, firm_id, stock_id, side, value) tuples."""
+    make_table(rows).to_csv(path)
 
 
 def make_series(values, timestamps=None, firm_id="F0", stock_id="S0") -> SignedSeries:
@@ -61,12 +66,9 @@ def make_patch(
     )
 
 
-def make_directional(firm_id="F0", T=900, N_m=9, V_m=90.0, direction="buy") -> DirectionalPatch:
-    if direction == "buy":
-        patch = make_patch(firm_id=firm_id, V_b=V_m, V_s=V_m / 9.0, n_buy=N_m, n_sell=1, t_last=T)
-    else:
-        patch = make_patch(firm_id=firm_id, V_b=V_m / 9.0, V_s=V_m, n_buy=1, n_sell=N_m, t_last=T)
-    return DirectionalPatch(patch=patch, direction=direction, T=T, N_m=N_m, V_m=V_m)
+def make_directional(firm_id="F0", T=900, N_m=9, V_m=90.0, direction="buy") -> PatchRecord:
+    V_b, V_s = (V_m, V_m / 9.0) if direction == "buy" else (V_m / 9.0, V_m)
+    return PatchRecord(firm_id, "S0", 0, N_m + 1, direction, T, N_m, V_m, V_b, V_s)
 
 
 @pytest.fixture(scope="session")

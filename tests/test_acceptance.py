@@ -208,7 +208,6 @@ def test_criterion_6_heterogeneity_mechanism(tmp_path):
         synth=synth.paper_like(),
         seed=2001,
         bootstrap_samples=400,
-        jobs=2,
         min_trades_per_year=0,
         min_active_days=0,
     )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_directional
-from patchscale import (
-    NumericalError,
+from patchscale.allometry import (
+    PAIRS,
     bivariate_fit,
     log_points,
     pca2,
@@ -13,7 +13,7 @@ from patchscale import (
     per_firm_exponents,
     trivariate_fit,
 )
-from patchscale.allometry import points_array
+from patchscale.errors import NumericalError
 
 AXIS = np.array([1.9, 1.1, 1.0])  # (log T, log N, log V) direction
 
@@ -105,6 +105,7 @@ def test_bivariate_fit_matches_pairwise_pca2():
     assert fit.g1 == pytest.approx(pca2(pts[:, (2, 1)])[0], abs=1e-12)
     assert fit.g2 == pytest.approx(pca2(pts[:, (2, 0)])[0], abs=1e-12)
     assert fit.g3 == pytest.approx(pca2(pts[:, (0, 1)])[0], abs=1e-12)
+    assert PAIRS == {"g1": (2, 1), "g2": (2, 0), "g3": (0, 1)}
     assert set(fit.explained_variance) == {"g1", "g2", "g3"}
     assert all(0.5 < share <= 1.0 for share in fit.explained_variance.values())
 
@@ -112,10 +113,8 @@ def test_bivariate_fit_matches_pairwise_pca2():
 def test_log_points_skips_nonpositive_durations():
     usable = make_directional(T=900)
     degenerate = make_directional(T=0)
-    points, skipped = log_points([usable, degenerate, usable])
-    assert len(points) == 2
+    pts, skipped = log_points([usable, degenerate, usable])
     assert skipped == 1
-    pts = points_array(points)
     assert pts.shape == (2, 3)
     assert pts[0, 0] == pytest.approx(np.log(900.0))
     assert pts[0, 1] == pytest.approx(np.log(9.0))

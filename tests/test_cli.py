@@ -1,13 +1,16 @@
 """Command-line interface: argument handling, stage commands, and exit codes."""
 
+import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from conftest import make_trades
-from patchscale import NumericalError, write_trades
-from patchscale.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, make_run_config
+from conftest import write_tape
 from patchscale import pipeline
+from patchscale.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main, make_run_config
+from patchscale.errors import NumericalError
 
 TINY_SYNTH = {"n_firms": 12, "packages_per_firm_mean": 6.0, "seed": 5}
 
@@ -142,9 +145,9 @@ def test_all_reruns_from_existing_tape(tmp_path):
 
 def test_flag_overrides_config_file(tmp_path):
     tape = tmp_path / "tape.csv"
-    write_trades(make_trades([(100, "F1", "SAN", "B", 50.0)]), tape)
+    write_tape([(100, "F1", "SAN", "B", 50.0)], tape)
     overlay = tmp_path / "run.json"
-    overlay.write_text(json.dumps({"threshold": 0.95, "tape": str(tape), "jobs": 3}))
+    overlay.write_text(json.dumps({"threshold": 0.95, "tape": str(tape), "mc_trials": 300}))
     config = _parse(
         [
             "segment",
@@ -157,7 +160,7 @@ def test_flag_overrides_config_file(tmp_path):
         ]
     )
     assert config.threshold == 0.97  # explicit flag wins
-    assert config.jobs == 3  # overlay value survives
+    assert config.mc_trials == 300  # overlay value survives
     assert config.tape == str(tape)
 
 
@@ -187,3 +190,60 @@ def test_preset_small_runs_end_to_end(tmp_path):
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["stocks"]["SYN"]["counts"]["patches_directional"] > 100
+
+
+@pytest.mark.parametrize(
+    "direction,column,value",
+    [
+        ("buy", "direction", "hold"),
+        ("buy", "direction", "none"),
+        ("buy", "N_m", ""),
+        ("sell", "V_m", ""),
+        ("none", "N_m", "7"),
+        ("none", "direction", "sell"),
+    ],
+)
+def test_inconsistent_patch_row_is_data_error(small_run, tmp_path, capsys, direction, column, value):
+    config, _ = small_run
+    with open(config.out() / "patches.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0]
+    index = next(i for i, row in enumerate(rows) if row[header.index("direction")] == direction)
+    rows[index][header.index(column)] = value
+    out = tmp_path / "out"
+    out.mkdir()
+    with open(out / "patches.csv", "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    assert main(["analyze", "--output-dir", str(out)]) == EXIT_DATA
+    assert f"patches.csv: line {index + 1}:" in capsys.readouterr().err
+
+
+# Every flag of the README's Key settings table: (value given, RunConfig field, parsed value).
+KEY_SETTINGS = {
+    "--threshold": ("0.95", "threshold", 0.95),
+    "--theta": ("0.8", "theta", 0.8),
+    "--min-patch-trades": ("12", "min_patch_trades", 12),
+    "--k-policy": ("fraction:0.2", "k_policy", "fraction:0.2"),
+    "--bootstrap-samples": ("500", "bootstrap_samples", 500),
+    "--min-trades-per-year": ("50", "min_trades_per_year", 50),
+    "--min-active-days": ("20", "min_active_days", 20),
+    "--activity-mode": ("prorated", "activity_mode", "prorated"),
+    "--seed": ("7", "seed", 7),
+}
+
+
+def test_readme_key_settings_parse_with_all():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Key settings", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", table)) == set(KEY_SETTINGS)
+    argv = ["all", "--preset", "small", "--output-dir", "out"]
+    for flag, (text, _, _) in KEY_SETTINGS.items():
+        argv += [flag, text]
+    config = _parse(argv)
+    for flag, (_, field, expected) in KEY_SETTINGS.items():
+        assert getattr(config, field) == expected, flag
+
+
+def test_k_prefix_still_selects_k_policy():
+    config = _parse(["all", "--preset", "small", "--k", "fixed:50", "--output-dir", "out"])
+    assert config.k_policy == "fixed:50"

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import make_directional
-from patchscale import NumericalError, jarque_bera, per_firm_lognormality, pooled_lognormality
+from patchscale.errors import NumericalError
 from patchscale.lognormal import (
     ASYMPTOTIC_MIN_N,
     CHI2_CRITICAL_95,
     critical_value,
+    jarque_bera,
     mc_critical_value,
+    per_firm_lognormality,
+    pooled_lognormality,
 )
 
 

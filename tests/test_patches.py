@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import make_patch, make_series
-from patchscale import Segmentation, classify, cut_patches, directional_patches
-from patchscale.patches import as_directional, variables
+from patchscale.patches import (
+    PatchRecord,
+    as_directional,
+    classify,
+    cut_patches,
+    record,
+    select_directional,
+    variables,
+)
+from patchscale.segmentation import Segmentation
 
 
 def _series_with_mixed_signs():
@@ -68,6 +76,19 @@ def test_as_directional_maps_dominant_side():
     assert (buy.T, buy.N_m, buy.V_m) == (900, 9, 90.0)
     sell = as_directional(make_patch(V_b=10.0, V_s=90.0, n_buy=1, n_sell=9, t_first=50, t_last=950), "sell")
     assert (sell.T, sell.N_m, sell.V_m) == (900, 9, 90.0)
+    with pytest.raises(ValueError, match="buy or sell"):
+        as_directional(make_patch(), "none")
+
+
+def test_record_carries_patches_csv_columns():
+    patch = make_patch(start=3, end=13, V_b=60.0, V_s=40.0, t_first=50, t_last=950)
+    assert record(patch, "none") == PatchRecord("F0", "S0", 3, 13, "none", 900, None, None, 60.0, 40.0)
+    assert record(patch, "buy") == PatchRecord("F0", "S0", 3, 13, "buy", 900, 9, 60.0, 60.0, 40.0)
+
+
+def _directional(series, seg, theta, min_trades):
+    records = [record(p, classify(p, theta)) for p in cut_patches(series, seg)]
+    return select_directional(records, min_trades)
 
 
 def test_directional_patches_filters_short_and_nondirectional():
@@ -82,8 +103,8 @@ def test_directional_patches_filters_short_and_nondirectional():
     )
     series = make_series(values)
     seg = Segmentation(boundaries=(0, 20, 40, 45), threshold=0.99)
-    out = directional_patches(series, seg, theta=0.75, min_trades=10)
-    assert [(p.patch.start, p.patch.end, p.direction) for p in out] == [(0, 20, "buy")]
+    out = _directional(series, seg, theta=0.75, min_trades=10)
+    assert [(p.start, p.end, p.direction) for p in out] == [(0, 20, "buy")]
 
 
 def test_directional_patches_theta_monotonicity():
@@ -93,8 +114,8 @@ def test_directional_patches_theta_monotonicity():
     seg = Segmentation(boundaries=tuple(range(0, 201, 10)), threshold=0.99)
     sets = []
     for theta in (0.55, 0.65, 0.75, 0.85, 0.95):
-        chosen = directional_patches(series, seg, theta=theta, min_trades=1)
-        sets.append({(p.patch.start, p.patch.end) for p in chosen})
+        chosen = _directional(series, seg, theta=theta, min_trades=1)
+        sets.append({(p.start, p.end) for p in chosen})
     for wider, narrower in zip(sets, sets[1:]):
         assert narrower <= wider
 

@@ -2,17 +2,18 @@
 
 import csv
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_trades
-from patchscale import DataError, RunConfig, Trade, emit_plot_data, write_trades
+from conftest import write_tape
+from patchscale.errors import DataError
 from patchscale.pipeline import (
     FAILURE_MARKER,
+    RunConfig,
     config_from_dict,
+    emit_plot_data,
     parse_k_policy,
     read_patch_rows,
     run_analyze,
@@ -194,17 +195,13 @@ def test_plot_rerun_is_byte_stable(small_run):
     assert scatter.read_bytes() == before
 
 
-def test_parallel_run_matches_serial(small_run, tmp_path):
-    config, _ = small_run
-    parallel = replace(config, output_dir=str(tmp_path / "out"), jobs=2)
-    run_pipeline(parallel)
-    for name in ("report.json", "segmentations.json", "patches.csv"):
-        assert (parallel.out() / name).read_bytes() == (config.out() / name).read_bytes()
+# One firm buys 30 trades, then sells 30: two directional patches.
+_ONE_FLIP = [(100 + i, "F1", "SAN", "B" if i < 30 else "S", 10.0) for i in range(60)]
 
 
 def test_failure_leaves_stage_marker(tmp_path):
     tape = tmp_path / "tape.csv"
-    write_trades(make_trades([(100, "F1", "SAN", "B", 50.0)]), tape)
+    write_tape([(100, "F1", "SAN", "B", 50.0)], tape)
     config = RunConfig(
         output_dir=str(tmp_path / "out"),
         tape=str(tape),
@@ -220,8 +217,7 @@ def test_failure_leaves_stage_marker(tmp_path):
     assert marker["error"]
 
     # Restoring the input clears the marker on the next successful run.
-    trades = [Trade(100 + i, "F1", "SAN", "B" if i < 30 else "S", 10.0) for i in range(60)]
-    write_trades(trades, tape)
+    write_tape(_ONE_FLIP, tape)
     run_pipeline(config)
     assert not (config.out() / FAILURE_MARKER).exists()
 
@@ -230,8 +226,7 @@ def test_insufficient_data_markers_instead_of_crash(tmp_path):
     # Two directional patches are far too few for tail or per-firm analysis;
     # every statistics section must degrade to an explicit marker.
     tape = tmp_path / "tape.csv"
-    trades = [Trade(100 + i, "F1", "SAN", "B" if i < 30 else "S", 10.0) for i in range(60)]
-    write_trades(trades, tape)
+    write_tape(_ONE_FLIP, tape)
     config = RunConfig(
         output_dir=str(tmp_path / "out"),
         tape=str(tape),
@@ -280,7 +275,7 @@ def test_parse_k_policy():
 
 def test_run_config_validation(tmp_path):
     tape = tmp_path / "tape.csv"
-    write_trades(make_trades([(100, "F1", "SAN", "B", 50.0)]), tape)
+    write_tape([(100, "F1", "SAN", "B", 50.0)], tape)
     with pytest.raises(ValueError, match="mutually exclusive"):
         RunConfig(output_dir="x", tape=str(tape), synth=small_preset())
     with pytest.raises(ValueError, match="threshold"):
@@ -291,8 +286,6 @@ def test_run_config_validation(tmp_path):
         RunConfig(output_dir="x", bootstrap_samples=50)
     with pytest.raises(ValueError, match="not found"):
         RunConfig(output_dir="x", tape=str(tmp_path / "absent.csv"))
-    with pytest.raises(ValueError, match="jobs"):
-        RunConfig(output_dir="x", jobs=0)
 
 
 def test_config_from_dict_builds_nested_synth():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from patchscale import (
-    CutCandidate,
+from patchscale.segmentation import (
+    DEFAULT_MC_SEED,
+    SMALL_N_MC,
     SignificancePolicy,
     max_t,
     segment,
@@ -12,7 +13,6 @@ from patchscale import (
     significance_mc,
     t_statistic,
 )
-from patchscale.segmentation import DEFAULT_MC_SEED, SMALL_N_MC, gate
 
 
 def test_t_statistic_hand_oracle():
@@ -33,14 +33,6 @@ def test_t_statistic_affine_invariance():
     assert t_statistic(-x, 13) == pytest.approx(base, abs=1e-9)
 
 
-def test_t_statistic_welch_denominator_differs():
-    x = [0.0, 1.0, 9.0, 10.0, 11.0, 12.0, 30.0]
-    pooled = t_statistic(x, 2)
-    welch = t_statistic(x, 2, welch=True)
-    assert np.isfinite(pooled) and np.isfinite(welch)
-    assert pooled != welch
-
-
 def test_max_t_step_and_constant():
     step = max_t([0, 0, 10, 10])
     assert (step.position, step.t_value) == (2, np.inf)
@@ -53,6 +45,17 @@ def test_max_t_tie_breaks_to_smallest_position():
     candidate = max_t([0, 0, 10, 10, 0, 0])
     assert candidate.position == 2
     assert candidate.t_value == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
+
+
+def test_max_t_matches_t_statistic_oracle():
+    # The prefix-sum scan must pick the split the direct formula ranks highest.
+    rng = np.random.default_rng(2)
+    for n in (4, 5, 17, 60):
+        x = rng.normal(0.0, 1.0, n) + np.where(np.arange(n) < n // 3, 1.5, 0.0)
+        direct = [t_statistic(x, split) for split in range(2, n - 1)]
+        candidate = max_t(x)
+        assert candidate.position == 2 + int(np.argmax(direct))
+        assert candidate.t_value == pytest.approx(max(direct), rel=1e-9)
 
 
 def test_max_t_short_series_is_none():
@@ -103,12 +106,6 @@ def test_policy_routes_short_windows_to_monte_carlo():
 def test_policy_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         SignificancePolicy(mode="bayes")
-
-
-def test_gate_fills_significance():
-    gated = gate(CutCandidate(position=5, t_value=4.0), 100)
-    assert gated.position == 5
-    assert gated.significance == significance(4.0, 100)
 
 
 def test_segment_constant_series_has_no_cuts():

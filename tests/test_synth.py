@@ -5,18 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patchscale import classify, hill, jarque_bera, segment
-from patchscale.patches import Patch
+from patchscale.lognormal import jarque_bera
+from patchscale.patches import Patch, classify
+from patchscale.segmentation import segment
 from patchscale.synth import (
     GroundTruth,
     SynthConfig,
     gen_firm_sizes,
     gen_packages,
     generate,
-    iter_planted_series,
     paper_like,
     small_preset,
 )
+from patchscale.tails import hill
 
 SMALL = SynthConfig(n_firms=25, packages_per_firm_mean=8.0, seed=9)
 
@@ -43,13 +44,20 @@ def test_config_validation(overrides):
         replace(SMALL, **overrides)
 
 
+def _same_tape(a, b):
+    columns = ("timestamps", "firm_codes", "stock_codes", "signs", "values")
+    return (a.firms, a.stocks) == (b.firms, b.stocks) and all(
+        np.array_equal(getattr(a, c), getattr(b, c)) for c in columns
+    )
+
+
 def test_generate_is_deterministic():
     table_a, truth_a = generate(SMALL)
     table_b, truth_b = generate(SMALL)
-    assert table_a.to_trades() == table_b.to_trades()
+    assert _same_tape(table_a, table_b)
     assert truth_a.to_json_dict() == truth_b.to_json_dict()
     table_c, _ = generate(replace(SMALL, seed=10))
-    assert table_c.to_trades() != table_a.to_trades()
+    assert not _same_tape(table_c, table_a)
 
 
 def test_ground_truth_json_round_trip():
@@ -215,12 +223,6 @@ def test_segmentation_recovers_planted_boundaries():
                 hit += bool(np.min(np.abs(boundaries - target)) <= tolerance)
     assert total > 500
     assert hit / total >= 0.90
-
-
-def test_iter_planted_series_matches_by_firm():
-    _, truth = generate(SMALL)
-    from_iter = dict(iter_planted_series(truth))
-    assert from_iter == truth.by_firm()
 
 
 def test_presets():

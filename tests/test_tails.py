@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from patchscale import NumericalError, ccdf, choose_k, hill
-from patchscale.tails import hill_bootstrap_ci
+from patchscale.errors import NumericalError
+from patchscale.tails import ccdf, choose_k, hill
 
 
 def _pareto(rng, n, zeta=2.0, x_min=1.0):
@@ -55,15 +55,6 @@ def test_hill_validation():
         hill([[1.0, 2.0]], 1)
     with pytest.raises(NumericalError, match="degenerate"):
         hill([2.0, 2.0, 2.0, 2.0], 2)
-
-
-def test_hill_bootstrap_ci_deterministic():
-    rng = np.random.default_rng(63)
-    xs = _pareto(rng, 2000)
-    lo1, hi1 = hill_bootstrap_ci(xs, 200, B=500, seed=9)
-    lo2, hi2 = hill_bootstrap_ci(xs, 200, B=500, seed=9)
-    assert (lo1, hi1) == (lo2, hi2)
-    assert lo1 < hill(xs, 200).zeta < hi1
 
 
 def test_choose_k_fraction_strategy():

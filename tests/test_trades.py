@@ -1,22 +1,10 @@
 """Trade-CSV parsing, activity filtering, and signed-series construction."""
 
-import io
-
-import numpy as np
 import pytest
 
-from conftest import make_table, make_trades
-from patchscale import (
-    DataError,
-    Trade,
-    TradeTable,
-    build_series,
-    filter_active_firms,
-    firm_activity,
-    inventory,
-    parse_trades,
-    write_trades,
-)
+from conftest import make_table
+from patchscale.errors import DataError
+from patchscale.trades import TradeTable, filter_active_firms
 
 HEADER = "timestamp,firm_id,stock_id,side,value\n"
 
@@ -28,19 +16,35 @@ ROWS = [
 ]
 
 
-def test_parse_round_trip(tmp_path):
+def _columns(table):
+    return (
+        table.timestamps.tolist(),
+        [table.firms[c] for c in table.firm_codes.tolist()],
+        [table.stocks[c] for c in table.stock_codes.tolist()],
+        table.signs.tolist(),
+        table.values.tolist(),
+    )
+
+
+def _from_text(tmp_path, body):
     path = tmp_path / "tape.csv"
-    trades = make_trades(ROWS)
-    write_trades(trades, path)
-    assert parse_trades(path) == trades
+    path.write_text(body)
+    return TradeTable.from_csv(path)
 
 
-def test_parse_accepts_bytes_and_handles():
-    text = HEADER + "100,F1,SAN,B,50.0\n"
-    expected = [Trade(100, "F1", "SAN", "B", 50.0)]
-    assert parse_trades(text.encode()) == expected
-    assert parse_trades(io.StringIO(text)) == expected
-    assert parse_trades(io.BytesIO(text.encode())) == expected
+def test_parse_round_trip(tmp_path):
+    text = HEADER + "".join(f"{ts},{f},{s},{side},{v!r}\n" for ts, f, s, side, v in ROWS)
+    table = _from_text(tmp_path, text)
+    assert _columns(table) == (
+        [100, 200, 150, 300],
+        ["F1", "F1", "F2", "F1"],
+        ["SAN", "SAN", "SAN", "BBVA"],
+        [1, -1, 1, 1],
+        [50.0, 20.0, 75.5, 10.25],
+    )
+    out = tmp_path / "again.csv"
+    table.to_csv(out)
+    assert out.read_text() == text
 
 
 @pytest.mark.parametrize(
@@ -55,17 +59,20 @@ def test_parse_accepts_bytes_and_handles():
         (HEADER + "100,F1,SAN,B,zero\n", "bad value"),
         (HEADER + "100,F1,SAN,B,0\n", "positive"),
         (HEADER + "100,F1,SAN,B,-3\n", "positive"),
+        (HEADER + "100,F1,SAN,B,inf\n", "line 2: value must be finite"),
+        (HEADER + "100,F1,SAN,B,1e400\n", "line 2: value must be finite"),
+        (HEADER + "100,F1,SAN,B,nan\n", "line 2: value must be finite"),
     ],
 )
-def test_parse_rejects_malformed(body, fragment):
+def test_parse_rejects_malformed(tmp_path, body, fragment):
     with pytest.raises(DataError, match=fragment):
-        parse_trades(body.encode())
+        _from_text(tmp_path, body)
 
 
-def test_parse_reports_line_numbers():
+def test_parse_reports_line_numbers(tmp_path):
     body = HEADER + "100,F1,SAN,B,50\n200,F1,SAN,B,bad\n"
     with pytest.raises(DataError, match="line 3"):
-        parse_trades(body.encode())
+        _from_text(tmp_path, body)
 
 
 def test_table_csv_round_trip(tmp_path):
@@ -73,7 +80,7 @@ def test_table_csv_round_trip(tmp_path):
     path = tmp_path / "tape.csv"
     table.to_csv(path)
     again = TradeTable.from_csv(path)
-    assert again.to_trades() == table.to_trades()
+    assert _columns(again) == _columns(table)
     twice = tmp_path / "tape2.csv"
     again.to_csv(twice)
     assert path.read_bytes() == twice.read_bytes()
@@ -111,19 +118,6 @@ def test_series_arrays_read_only():
         series.signed_values[0] = 0.0
 
 
-def test_build_series_selects_pair():
-    trades = make_trades(ROWS)
-    series = build_series(trades, "F1", "BBVA")
-    assert series.signed_values.tolist() == [10.25]
-    empty = build_series(trades, "F9", "SAN")
-    assert len(empty) == 0
-
-
-def test_inventory_is_running_sum():
-    series = build_series(make_trades(ROWS), "F1", "SAN")
-    assert inventory(series) == [(100, 50.0), (200, 30.0)]
-
-
 def _active_rows(firm, year_start, n_days, trades_per_day, stock="SAN"):
     rows = []
     for day in range(n_days):
@@ -135,7 +129,7 @@ def _active_rows(firm, year_start, n_days, trades_per_day, stock="SAN"):
 def test_firm_activity_counts_days_and_trades():
     start_2020 = 1577836800  # 2020-01-01 UTC
     rows = _active_rows("F1", start_2020, 3, 4)
-    activity = firm_activity(make_trades(rows))
+    activity = make_table(rows).activity()
     assert activity["F1"].trades_per_year == {2020: 12}
     assert activity["F1"].active_days_per_year == {2020: 3}
 
@@ -143,7 +137,7 @@ def test_firm_activity_counts_days_and_trades():
 def test_filter_active_firms_strict():
     start_2020 = 1577836800
     rows = _active_rows("BIG", start_2020, 250, 5) + _active_rows("SMALL", start_2020, 50, 5)
-    qualified = filter_active_firms(make_trades(rows), min_trades_per_year=1000, min_active_days=200)
+    qualified = filter_active_firms(make_table(rows), min_trades_per_year=1000, min_active_days=200)
     assert qualified == {"BIG"}
 
 
@@ -151,8 +145,8 @@ def test_filter_active_firms_prorated_scales_partial_years():
     # Dataset spans only the first quarter of 2020; firm is active almost daily.
     start_2020 = 1577836800
     rows = _active_rows("F1", start_2020, 85, 4)
-    strict = filter_active_firms(make_trades(rows), 1000, 200, mode="strict")
-    prorated = filter_active_firms(make_trades(rows), 1000, 200, mode="prorated")
+    strict = filter_active_firms(make_table(rows), 1000, 200, mode="strict")
+    prorated = filter_active_firms(make_table(rows), 1000, 200, mode="prorated")
     assert strict == set()
     assert prorated == {"F1"}
 
@@ -162,18 +156,18 @@ def test_filter_active_firms_requires_every_dataset_year():
     start_2021 = 1609459200
     rows = _active_rows("F1", start_2020, 250, 5) + _active_rows("F2", start_2021, 250, 5)
     # Each firm is idle in one of the two dataset years, so neither qualifies.
-    assert filter_active_firms(make_trades(rows), 1000, 200) == set()
+    assert filter_active_firms(make_table(rows), 1000, 200) == set()
 
 
 def test_filter_mode_validation():
     with pytest.raises(ValueError, match="mode"):
-        filter_active_firms(make_trades(ROWS), mode="loose")
+        filter_active_firms(make_table(ROWS), mode="loose")
 
 
 def test_span_and_empty_table():
     table = make_table(ROWS)
     assert table.span() == (100, 300)
-    empty = TradeTable.from_trades([])
+    empty = make_table([])
     assert len(empty) == 0
     assert empty.activity() == {}
     with pytest.raises(DataError):
