@@ -2,6 +2,7 @@
 
 Slopes are ratios of leading-eigenvector components of the covariance
 matrix of natural logs, with percentile-bootstrap confidence intervals.
+Each fit draws one set of row resamples, shared by its three exponents.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ DEFAULT_MIN_FIRM_PATCHES = 10
 _EIGENVALUE_TIE_RTOL = 1e-12
 _MAX_ESTIMATOR_FAILURES = 0.01
 _BOOTSTRAP_CHUNK_CELLS = 5_000_000
-
-ESTIMATORS = ("pca2-g", "pca3-g1", "pca3-g2", "pca3-g3")
 
 # The (x, y) log-point columns of each pairwise exponent: y ~ x^g.  Columns
 # are (ln T, ln N_m, ln V_m), the order of patches.VARIABLES.
@@ -136,77 +135,52 @@ def pca3(points) -> AllometricFit:
     )
 
 
-def _bootstrap_estimates(pts: np.ndarray, estimator: str, B: int, seed: int) -> np.ndarray:
+def _resampled_covariances(pts: np.ndarray, B: int, seed: int) -> np.ndarray:
+    """(B, d, d) covariances of B seeded row resamples of an (m, d) point cloud.
+
+    Resamples are drawn in chunks of about _BOOTSTRAP_CHUNK_CELLS gathered
+    rows to bound memory; the draws depend only on seed, B and m.
+    """
+    if B < 200:
+        raise ValueError(f"B must be >= 200, got {B}")
     m, dims = pts.shape
     rng = np.random.default_rng(seed)
     chunk = max(1, _BOOTSTRAP_CHUNK_CELLS // m)
-    out = np.empty(B)
-    failures = 0
-    done = 0
-    while done < B:
-        size = min(chunk, B - done)
-        idx = rng.integers(0, m, size=(size, m))
-        samples = pts[idx]
-        means = samples.mean(axis=1)
-        centered = samples - means[:, None, :]
-        covs = np.einsum("bmi,bmj->bij", centered, centered) / m
-        eigenvalues, eigenvectors = np.linalg.eigh(covs)
-        lead = eigenvectors[:, :, -1]
-        lam = eigenvalues[:, ::-1]
-        tie = (lam[:, 0] <= 0.0) | (
-            (lam[:, 0] - lam[:, 1]) <= _EIGENVALUE_TIE_RTOL * lam[:, 0]
-        )
-        if dims == 2:
-            anchor = lead[:, 0]
-        else:
-            anchor = lead[:, 2]
-        flip = np.sign(anchor)
-        bad = tie | (anchor == 0.0)
-        flip[bad] = 1.0
-        lead = lead * flip[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if estimator == "pca2-g":
-                est = lead[:, 1] / lead[:, 0]
-            elif estimator == "pca3-g1":
-                est = lead[:, 1] / lead[:, 2]
-            elif estimator == "pca3-g2":
-                est = lead[:, 0] / lead[:, 2]
-            else:
-                est = lead[:, 1] / lead[:, 0]
-        bad |= ~np.isfinite(est)
-        est = est.copy()
-        est[bad] = np.nan
-        failures += int(bad.sum())
-        out[done : done + size] = est
-        done += size
-    if failures > _MAX_ESTIMATOR_FAILURES * B:
-        raise NumericalError(
-            f"estimator failed on {failures}/{B} bootstrap resamples: degenerate data"
-        )
-    return out[np.isfinite(out)]
+    covs = np.empty((B, dims, dims))
+    for done in range(0, B, chunk):
+        centered = pts[rng.integers(0, m, size=(min(chunk, B - done), m))]
+        centered -= centered.mean(axis=1)[:, None, :]
+        covs[done : done + len(centered)] = np.einsum("bmi,bmj->bij", centered, centered) / m
+    return covs
 
 
-def bootstrap_ci(
-    points,
-    estimator: str,
-    B: int = DEFAULT_BOOTSTRAP_SAMPLES,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile 95% interval of a PCA slope over B row resamples.
+def _leading_axes(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenvector of each covariance, and where it is not unique.
 
-    Deterministic for a fixed seed; errors out when more than 1% of the
-    resamples are degenerate.
+    Eigenvectors keep eigh's arbitrary sign: a ratio of two components of one
+    vector does not depend on it.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if B < 200:
-        raise ValueError(f"B must be >= 200, got {B}")
-    pts = np.asarray(points, dtype=np.float64)
-    expected_dims = 2 if estimator == "pca2-g" else 3
-    if pts.ndim != 2 or pts.shape[1] != expected_dims:
-        raise ValueError(f"{estimator} needs (m, {expected_dims}) points, got {pts.shape}")
-    estimates = _bootstrap_estimates(pts, estimator, B, seed)
-    return float(np.quantile(estimates, 0.025)), float(np.quantile(estimates, 0.975))
+    eigenvalues, eigenvectors = np.linalg.eigh(covs)
+    top, second = eigenvalues[:, -1], eigenvalues[:, -2]
+    tie = (top <= 0.0) | ((top - second) <= _EIGENVALUE_TIE_RTOL * top)
+    return eigenvectors[:, :, -1], tie
+
+
+def _percentile_ci(estimates: np.ndarray, failed: np.ndarray) -> tuple[float, float]:
+    """Percentile 95% interval over the resamples whose estimate is usable.
+
+    A resample fails when it is marked failed or its estimate is not finite;
+    more than 1% failures means the data are degenerate.
+    """
+    failed = failed | ~np.isfinite(estimates)
+    failures = int(failed.sum())
+    if failures > _MAX_ESTIMATOR_FAILURES * len(estimates):
+        raise NumericalError(
+            f"estimator failed on {failures}/{len(estimates)} bootstrap resamples: "
+            "degenerate data"
+        )
+    kept = estimates[~failed]
+    return float(np.quantile(kept, 0.025)), float(np.quantile(kept, 0.975))
 
 
 def trivariate_fit(
@@ -214,13 +188,19 @@ def trivariate_fit(
     B: int = DEFAULT_BOOTSTRAP_SAMPLES,
     seed: int = 0,
 ) -> AllometricFit:
-    """pca3 plus bootstrap CIs for all three exponents."""
+    """pca3 plus percentile-bootstrap CIs for all three exponents.
+
+    The three CIs come from one set of B resamples; a resample fails for all
+    three when its principal axis is not unique or has a_V = 0.
+    """
     fit = pca3(points)
-    pts = np.asarray(points, dtype=np.float64)
-    ci95s = {
-        name: bootstrap_ci(pts, f"pca3-{name}", B, seed)
-        for name in ("g1", "g2", "g3")
-    }
+    covs = _resampled_covariances(np.asarray(points, dtype=np.float64), B, seed)
+    lead, failed = _leading_axes(covs)
+    a_t, a_n, a_v = lead.T
+    failed |= a_v == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = {"g1": a_n / a_v, "g2": a_t / a_v, "g3": a_n / a_t}
+    ci95s = {name: _percentile_ci(ratio, failed) for name, ratio in ratios.items()}
     return AllometricFit(
         mode="tri",
         g1=fit.g1,
@@ -242,6 +222,8 @@ def bivariate_fit(
     """Three pairwise pca2 fits: N vs V (g1), T vs V (g2), N vs T (g3).
 
     Unlike the trivariate mode, g1 = g2*g3 holds only approximately here.
+    Each pair's CI comes from the 2x2 blocks of one set of B resampled 3x3
+    covariances.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -249,10 +231,17 @@ def bivariate_fit(
     slopes: dict[str, float] = {}
     shares: dict[str, float] = {}
     ci95s: dict[str, tuple[float, float]] = {}
+    covs = None
     for name, columns in PAIRS.items():
-        pair_pts = pts[:, columns]
-        slopes[name], shares[name] = pca2(pair_pts)
-        ci95s[name] = bootstrap_ci(pair_pts, "pca2-g", B, seed)
+        slopes[name], shares[name] = pca2(pts[:, columns])
+        # Resampled only once the first pair's point fit has accepted the
+        # points, so errors keep their order: each pair's point fit, then its
+        # CI, pair by pair.
+        if covs is None:
+            covs = _resampled_covariances(pts, B, seed)
+        lead, failed = _leading_axes(covs[:, columns][:, :, columns])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ci95s[name] = _percentile_ci(lead[:, 1] / lead[:, 0], failed)
     return AllometricFit(
         mode="bi",
         g1=slopes["g1"],

@@ -8,7 +8,7 @@ there instead.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -58,21 +58,17 @@ def _jb_from_rows(rows: np.ndarray) -> np.ndarray:
     return n / 6.0 * (skew**2 + 0.25 * (kurt - 3.0) ** 2)
 
 
-_critical_cache: dict[tuple[int, int, int], float] = {}
-_critical_lock = threading.Lock()
-
-
 def mc_critical_value(
     n: int,
     trials: int = MC_CRITICAL_TRIALS,
     seed: int = MC_CRITICAL_SEED,
 ) -> float:
     """Monte Carlo 95th percentile of the JB statistic under normality at size n."""
-    key = (n, trials, seed)
-    with _critical_lock:
-        cached = _critical_cache.get(key)
-    if cached is not None:
-        return cached
+    return _mc_critical_value(n, trials, seed)
+
+
+@functools.cache
+def _mc_critical_value(n: int, trials: int, seed: int) -> float:
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, trials]))
     chunk = max(1, 4_000_000 // max(n, 1))
     stats = []
@@ -81,10 +77,7 @@ def mc_critical_value(
         rows = rng.standard_normal((min(chunk, remaining), n))
         stats.append(_jb_from_rows(rows))
         remaining -= len(rows)
-    value = float(np.quantile(np.concatenate(stats), 0.95))
-    with _critical_lock:
-        _critical_cache[key] = value
-    return value
+    return float(np.quantile(np.concatenate(stats), 0.95))
 
 
 def critical_value(n: int) -> float:

@@ -10,7 +10,7 @@ via either a closed-form approximation or a seeded Monte Carlo null.
 
 from __future__ import annotations
 
-import threading
+import functools
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Sequence
@@ -185,16 +185,8 @@ def _max_t_rows(rows: np.ndarray) -> np.ndarray:
     return t.max(axis=1)
 
 
-_null_tables: dict[tuple[int, int, int], np.ndarray] = {}
-_null_lock = threading.Lock()
-
-
+@functools.cache
 def _null_table(n: int, trials: int, seed: int) -> np.ndarray:
-    key = (n, trials, seed)
-    with _null_lock:
-        table = _null_tables.get(key)
-    if table is not None:
-        return table
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, trials]))
     chunk = max(1, min(trials, 2_000_000 // max(n, 1)))
     parts = []
@@ -203,10 +195,7 @@ def _null_table(n: int, trials: int, seed: int) -> np.ndarray:
         rows = rng.standard_normal((min(chunk, remaining), n))
         parts.append(_max_t_rows(rows))
         remaining -= len(rows)
-    table = np.sort(np.concatenate(parts))
-    with _null_lock:
-        _null_tables[key] = table
-    return table
+    return np.sort(np.concatenate(parts))
 
 
 def significance_mc(

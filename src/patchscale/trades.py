@@ -50,28 +50,29 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _row_error(fields: list[str], line_no: int) -> DataError:
-    """The error naming what is wrong with a malformed trade-CSV row."""
+def _row_error(path: str | Path, fields: list[str], line_no: int) -> DataError:
+    """The error naming the file, the line and the fault of a malformed trade-CSV row."""
+    where = f"{path}: line {line_no}"
     if len(fields) != 5:
-        return DataError(f"line {line_no}: expected 5 fields, got {len(fields)}")
+        return DataError(f"{where}: expected 5 fields, got {len(fields)}")
     raw_ts, _, _, side, raw_value = fields
     try:
         timestamp = int(raw_ts)
     except ValueError:
-        return DataError(f"line {line_no}: bad timestamp {raw_ts!r}")
+        return DataError(f"{where}: bad timestamp {raw_ts!r}")
     if timestamp < 0:
-        return DataError(f"line {line_no}: negative timestamp {timestamp}")
+        return DataError(f"{where}: negative timestamp {timestamp}")
     if side not in (BUY, SELL):
-        return DataError(f"line {line_no}: side must be B or S, got {side!r}")
+        return DataError(f"{where}: side must be B or S, got {side!r}")
     try:
         value = float(raw_value)
     except ValueError:
-        return DataError(f"line {line_no}: bad value {raw_value!r}")
+        return DataError(f"{where}: bad value {raw_value!r}")
     if not math.isfinite(value):
-        return DataError(f"line {line_no}: value must be finite, got {raw_value}")
+        return DataError(f"{where}: value must be finite, got {raw_value}")
     if not value > 0:
-        return DataError(f"line {line_no}: value must be strictly positive, got {raw_value}")
-    return DataError(f"line {line_no}: malformed row")
+        return DataError(f"{where}: value must be strictly positive, got {raw_value}")
+    return DataError(f"{where}: malformed row")
 
 
 class TradeTable:
@@ -171,7 +172,7 @@ class TradeTable:
                 except (ValueError, IndexError):
                     ok = False
                 if not ok:
-                    raise _row_error(fields, line_no)
+                    raise _row_error(path, fields, line_no)
                 timestamps.append(timestamp)
                 firm_ids.append(fields[1])
                 stock_ids.append(fields[2])

@@ -1,9 +1,12 @@
 """Major-axis slope fits in log space, bootstrap CIs, and per-firm exponents."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_directional
+from patchscale import allometry
 from patchscale.allometry import (
     PAIRS,
     bivariate_fit,
@@ -108,6 +111,83 @@ def test_bivariate_fit_matches_pairwise_pca2():
     assert PAIRS == {"g1": (2, 1), "g2": (2, 0), "g3": (0, 1)}
     assert set(fit.explained_variance) == {"g1", "g2", "g3"}
     assert all(0.5 < share <= 1.0 for share in fit.explained_variance.values())
+
+
+def _reference_ci(pts, num, den, anchor, B, seed):
+    """Percentile CI of one eigenvector-component ratio, resampling pts alone.
+
+    The per-estimator bootstrap: its own draw over exactly the columns of
+    pts, covariance, eigh, sign fixed by the anchor component, ratio
+    lead[num] / lead[den], and the 2.5/97.5% quantiles.
+    """
+    m = len(pts)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, allometry._BOOTSTRAP_CHUNK_CELLS // m)
+    kept = []
+    failures = done = 0
+    while done < B:
+        size = min(chunk, B - done)
+        samples = pts[rng.integers(0, m, size=(size, m))]
+        centered = samples - samples.mean(axis=1)[:, None, :]
+        covs = np.einsum("bmi,bmj->bij", centered, centered) / m
+        eigenvalues, eigenvectors = np.linalg.eigh(covs)
+        lam = eigenvalues[:, ::-1]
+        lead = eigenvectors[:, :, -1]
+        bad = (lam[:, 0] <= 0.0) | ((lam[:, 0] - lam[:, 1]) <= 1e-12 * lam[:, 0])
+        bad |= lead[:, anchor] == 0.0
+        lead = lead * np.where(bad, 1.0, np.sign(lead[:, anchor]))[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est = lead[:, num] / lead[:, den]
+        bad |= ~np.isfinite(est)
+        failures += int(bad.sum())
+        kept.append(est[~bad])
+        done += size
+    assert failures <= 0.01 * B
+    kept = np.concatenate(kept)
+    return float(np.quantile(kept, 0.025)), float(np.quantile(kept, 0.975))
+
+
+@pytest.mark.parametrize(
+    ("n", "chunk_cells"),
+    [(37, 5_000_000), (1_700, 5_000_000), (1_700, 50_000)],  # the last spans 11 chunks
+)
+def test_bootstrap_cis_match_per_estimator_oracle(monkeypatch, n, chunk_cells):
+    monkeypatch.setattr(allometry, "_BOOTSTRAP_CHUNK_CELLS", chunk_cells)
+    pts = _noisy_cloud(seed=74, n=n)
+    B, seed = 300, 17
+    tri = trivariate_fit(pts, B, seed)
+    for name, (num, den) in {"g1": (1, 2), "g2": (0, 2), "g3": (1, 0)}.items():
+        assert tri.ci95s[name] == _reference_ci(pts, num, den, 2, B, seed)
+    bi = bivariate_fit(pts, B, seed)
+    for name, columns in PAIRS.items():
+        assert bi.ci95s[name] == _reference_ci(pts[:, columns], 1, 0, 0, B, seed)
+    assert bivariate_fit(pts, B, seed + 1).ci95s != bi.ci95s
+
+
+def test_each_fit_resamples_once(monkeypatch):
+    calls = []
+    resample = allometry._resampled_covariances
+
+    def counting(pts, B, seed):
+        calls.append((pts.shape, B, seed))
+        return resample(pts, B, seed)
+
+    monkeypatch.setattr(allometry, "_resampled_covariances", counting)
+    pts = _noisy_cloud(seed=75, n=500)
+    trivariate_fit(pts, B=300, seed=3)
+    assert calls == [((500, 3), 300, 3)]
+    bivariate_fit(pts, B=300, seed=3)
+    assert calls == [((500, 3), 300, 3)] * 2
+
+
+@pytest.mark.parametrize("fit", [trivariate_fit, bivariate_fit])
+def test_degenerate_resamples_fail_the_fit(fit):
+    # A resample without the one off-origin point has no principal axis.
+    pts = np.zeros((5, 3))
+    pts[4] = (1.0, 2.0, 3.0)
+    message = "estimator failed on 91/300 bootstrap resamples: degenerate data"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        fit(pts, B=300, seed=1)
 
 
 def test_log_points_skips_nonpositive_durations():

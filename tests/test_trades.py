@@ -1,5 +1,7 @@
 """Trade-CSV parsing, activity filtering, and signed-series construction."""
 
+import re
+
 import pytest
 
 from conftest import make_table
@@ -71,7 +73,7 @@ def test_parse_rejects_malformed(tmp_path, body, fragment):
 
 def test_parse_reports_line_numbers(tmp_path):
     body = HEADER + "100,F1,SAN,B,50\n200,F1,SAN,B,bad\n"
-    with pytest.raises(DataError, match="line 3"):
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'tape.csv'}: line 3: bad value")):
         _from_text(tmp_path, body)
 
 
