@@ -2,13 +2,15 @@
 
 Lognormality of a positive variable is tested as normality of its natural
 log.  For small samples (n < 50) the asymptotic chi-squared critical value
-is badly anti-conservative, so seeded Monte Carlo critical values are used
-there instead.
+is badly anti-conservative, so critical values from a pinned table are used
+there instead.  The table holds the 95th percentile of the statistic over
+200,000 standard-normal samples per n, drawn with the fixed seed 161803;
+the test oracle in tests/test_lognormal.py regenerates entries and checks
+them for equality.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,9 +23,53 @@ from .patches import VARIABLES, PatchRecord
 ASYMPTOTIC_MIN_N = 50
 CHI2_CRITICAL_95 = float(chi2.ppf(0.95, 2))
 DEFAULT_MIN_FIRM_PATCHES = 10
-# Seed and trial count for the small-sample critical-value tables.
-MC_CRITICAL_SEED = 161803
-MC_CRITICAL_TRIALS = 200_000
+MIN_JB_N = 8
+# Monte Carlo 95% critical values for n = MIN_JB_N .. ASYMPTOTIC_MIN_N - 1.
+# They carry sampling noise, so they are not monotone in n; keep every digit.
+SMALL_N_CRITICAL_95 = (
+    2.082147201844418,  # n = 8
+    2.3106875000972575,  # n = 9
+    2.515249287699109,  # n = 10
+    2.7204023726379947,  # n = 11
+    2.8788455305207683,  # n = 12
+    3.0456460195039847,  # n = 13
+    3.1906580961721693,  # n = 14
+    3.2775741379440526,  # n = 15
+    3.4271218606368103,  # n = 16
+    3.5174550346757343,  # n = 17
+    3.6031627092638416,  # n = 18
+    3.7641569180407735,  # n = 19
+    3.845360317188901,  # n = 20
+    3.9061206167853983,  # n = 21
+    3.9351343377324217,  # n = 22
+    4.0175821338378865,  # n = 23
+    4.11087272397911,  # n = 24
+    4.124370210409376,  # n = 25
+    4.1417755309158055,  # n = 26
+    4.230569836235599,  # n = 27
+    4.317424788024614,  # n = 28
+    4.43720728680139,  # n = 29
+    4.4000689183260775,  # n = 30
+    4.480601256186538,  # n = 31
+    4.526102678901707,  # n = 32
+    4.5074274751833485,  # n = 33
+    4.523057512382228,  # n = 34
+    4.60660998242182,  # n = 35
+    4.577942127790674,  # n = 36
+    4.708297631228403,  # n = 37
+    4.711342686268141,  # n = 38
+    4.743635717482905,  # n = 39
+    4.792959673584913,  # n = 40
+    4.775275766727719,  # n = 41
+    4.771271100163096,  # n = 42
+    4.866779341839712,  # n = 43
+    4.87173290864233,  # n = 44
+    4.844258839061481,  # n = 45
+    4.91344952157262,  # n = 46
+    4.923971018356961,  # n = 47
+    4.908791421542271,  # n = 48
+    4.975564434510672,  # n = 49
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,33 +104,13 @@ def _jb_from_rows(rows: np.ndarray) -> np.ndarray:
     return n / 6.0 * (skew**2 + 0.25 * (kurt - 3.0) ** 2)
 
 
-def mc_critical_value(
-    n: int,
-    trials: int = MC_CRITICAL_TRIALS,
-    seed: int = MC_CRITICAL_SEED,
-) -> float:
-    """Monte Carlo 95th percentile of the JB statistic under normality at size n."""
-    return _mc_critical_value(n, trials, seed)
-
-
-@functools.cache
-def _mc_critical_value(n: int, trials: int, seed: int) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n, trials]))
-    chunk = max(1, 4_000_000 // max(n, 1))
-    stats = []
-    remaining = trials
-    while remaining > 0:
-        rows = rng.standard_normal((min(chunk, remaining), n))
-        stats.append(_jb_from_rows(rows))
-        remaining -= len(rows)
-    return float(np.quantile(np.concatenate(stats), 0.95))
-
-
 def critical_value(n: int) -> float:
-    """95% JB critical value: asymptotic chi-squared(2) for n >= 50, Monte Carlo below."""
+    """95% JB critical value: the pinned table for n < 50, asymptotic chi-squared(2) from 50 on."""
+    if n < MIN_JB_N:
+        raise ValueError(f"need n >= {MIN_JB_N} for stable moments, got {n}")
     if n >= ASYMPTOTIC_MIN_N:
         return CHI2_CRITICAL_95
-    return mc_critical_value(n)
+    return SMALL_N_CRITICAL_95[n - MIN_JB_N]
 
 
 def jarque_bera(xs) -> tuple[float, bool]:
@@ -97,8 +123,8 @@ def jarque_bera(xs) -> tuple[float, bool]:
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d sample, got shape {x.shape}")
     n = len(x)
-    if n < 8:
-        raise ValueError(f"need n >= 8 for stable moments, got {n}")
+    if n < MIN_JB_N:
+        raise ValueError(f"need n >= {MIN_JB_N} for stable moments, got {n}")
     if np.ptp(x) == 0.0:
         raise NumericalError("zero-variance sample: JB undefined")
     stat = float(_jb_from_rows(x[None, :])[0])
@@ -118,8 +144,8 @@ def per_firm_lognormality(
     """
     if variable not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {variable!r}")
-    if min_patches < 8:
-        raise ValueError(f"min_patches must be >= 8 for a stable JB test, got {min_patches}")
+    if min_patches < MIN_JB_N:
+        raise ValueError(f"min_patches must be >= {MIN_JB_N} for a stable JB test, got {min_patches}")
     by_firm: dict[str, list[float]] = {}
     for r in records:
         value = getattr(r, variable)
@@ -163,6 +189,6 @@ def pooled_lognormality(records: Iterable[PatchRecord], variable: str) -> tuple[
         raise ValueError(f"variable must be one of {VARIABLES}, got {variable!r}")
     values = [float(getattr(r, variable)) for r in records]
     values = [v for v in values if v > 0]
-    if len(values) < 8:
+    if len(values) < MIN_JB_N:
         raise NumericalError(f"pooled sample too small for {variable}: {len(values)}")
     return jarque_bera(np.log(values))

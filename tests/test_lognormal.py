@@ -8,12 +8,35 @@ from patchscale.errors import NumericalError
 from patchscale.lognormal import (
     ASYMPTOTIC_MIN_N,
     CHI2_CRITICAL_95,
+    MIN_JB_N,
+    SMALL_N_CRITICAL_95,
+    _jb_from_rows,
     critical_value,
     jarque_bera,
-    mc_critical_value,
     per_firm_lognormality,
     pooled_lognormality,
 )
+
+# The seed and trial count that generated the pinned small-sample table.
+TABLE_SEED = 161803
+TABLE_TRIALS = 200_000
+
+
+def _mc_critical_value(n, trials, seed):
+    """Monte Carlo 95th percentile of the JB statistic under normality at size n.
+
+    This is the generator of lognormal.SMALL_N_CRITICAL_95: its entries are
+    this function at (n, TABLE_TRIALS, TABLE_SEED), every digit kept.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n, trials]))
+    chunk = max(1, 4_000_000 // max(n, 1))
+    stats = []
+    remaining = trials
+    while remaining > 0:
+        rows = rng.standard_normal((min(chunk, remaining), n))
+        stats.append(_jb_from_rows(rows))
+        remaining -= len(rows)
+    return float(np.quantile(np.concatenate(stats), 0.95))
 
 
 def test_jb_zero_oracle():
@@ -74,11 +97,32 @@ def test_critical_value_regimes():
     assert critical_value(20) == small
 
 
+def test_critical_value_rejects_small_n():
+    for n in (0, 3, MIN_JB_N - 1):
+        with pytest.raises(ValueError, match="need n >= 8"):
+            critical_value(n)
+    assert critical_value(MIN_JB_N) == SMALL_N_CRITICAL_95[0]
+
+
+def test_critical_value_table_shape():
+    assert len(SMALL_N_CRITICAL_95) == ASYMPTOTIC_MIN_N - MIN_JB_N
+    for n in range(MIN_JB_N, ASYMPTOTIC_MIN_N):
+        value = critical_value(n)
+        assert value == SMALL_N_CRITICAL_95[n - MIN_JB_N]
+        assert np.isfinite(value)
+        assert 1.0 < value < CHI2_CRITICAL_95
+
+
+@pytest.mark.parametrize("n", [8, 20, 35, 49])
+def test_pinned_critical_values_match_monte_carlo(n):
+    assert critical_value(n) == _mc_critical_value(n, TABLE_TRIALS, TABLE_SEED)
+
+
 def test_mc_critical_deterministic():
-    a = mc_critical_value(15, trials=20_000, seed=4)
-    b = mc_critical_value(15, trials=20_000, seed=4)
+    a = _mc_critical_value(15, trials=20_000, seed=4)
+    b = _mc_critical_value(15, trials=20_000, seed=4)
     assert a == b
-    assert mc_critical_value(15, trials=20_000, seed=5) != a
+    assert _mc_critical_value(15, trials=20_000, seed=5) != a
 
 
 def _lognormal_firm(rng, firm_id, n, mu, sigma=0.4):
@@ -108,6 +152,22 @@ def test_per_firm_lognormality_accepts_and_rejects():
     assert summary.passed == 1
     assert summary.percent == pytest.approx(50.0)
     assert [r.firm_id for r in summary.results] == sorted(by_firm)
+
+
+def test_per_firm_lognormality_draws_no_random_numbers(monkeypatch):
+    rng = np.random.default_rng(89)
+    patches = []
+    for n in (8, 30, 49):
+        patches += _lognormal_firm(rng, f"N{n}", n, mu=3.0)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("critical values must be table lookups")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    summary = per_firm_lognormality(patches, "V_m", min_patches=MIN_JB_N)
+    assert sorted(r.n for r in summary.results) == [8, 30, 49]
+    for r in summary.results:
+        assert r.critical_value == SMALL_N_CRITICAL_95[r.n - MIN_JB_N]
 
 
 def test_per_firm_lognormality_drops_nonpositive_values():
