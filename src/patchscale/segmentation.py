@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .trades import SignedSeries
 
@@ -144,6 +143,9 @@ def significance(t_max: float, n: int) -> float:
     For n below ~16, eta is non-positive and the value saturates at 1;
     prefer the Monte Carlo null for such short windows.
     """
+    # Imported here so that only processes that score cuts load scipy.
+    from scipy.special import betainc
+
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     if t_max < 0:

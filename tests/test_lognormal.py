@@ -97,6 +97,14 @@ def test_critical_value_regimes():
     assert critical_value(20) == small
 
 
+def test_chi2_critical_matches_scipy():
+    # The pinned asymptotic critical value is scipy's, every digit: the closed
+    # form -2 ln 0.05 differs in the last bits and would shift lognormality.csv.
+    from scipy.stats import chi2
+
+    assert CHI2_CRITICAL_95 == float(chi2.ppf(0.95, 2))
+
+
 def test_critical_value_rejects_small_n():
     for n in (0, 3, MIN_JB_N - 1):
         with pytest.raises(ValueError, match="need n >= 8"):

@@ -76,6 +76,24 @@ def test_significance_saturates_below_eta_crossover():
     assert significance(3.0, 15) == 1.0
 
 
+# Closed-form values pinned from when scipy.special was imported at module
+# level; the lazy import must leave every digit alone.  The tests above pin
+# the infinite-t and t = 0 branches.
+PINNED_SIGNIFICANCE = [
+    (0.0, 15, 1.0),  # eta <= 0: saturates even at t = 0
+    (2.0, 16, 0.9939138517994626),
+    (2.5, 30, 0.9315241073405209),
+    (3.0, 100, 0.9530728728290512),
+    (4.0, 1000, 0.9958110888567948),
+    (6.0, 5000, 0.9999987538106537),
+]
+
+
+@pytest.mark.parametrize("t_max, n, expected", PINNED_SIGNIFICANCE)
+def test_significance_pinned_values(t_max, n, expected):
+    assert significance(t_max, n) == expected
+
+
 def test_significance_validation():
     with pytest.raises(ValueError):
         significance(1.0, 3)
