@@ -2,7 +2,11 @@
 
 Slopes are ratios of leading-eigenvector components of the covariance
 matrix of natural logs, with percentile-bootstrap confidence intervals.
-Each fit draws one set of row resamples, shared by its three exponents.
+Each fit draws one set of row resamples, shared by its three exponents.  A
+resample is held as counts, how often it drew each distinct row, so its
+covariance comes from count-weighted moments (Efron & Tibshirani 1993); a
+resample that drew a single distinct row is marked degenerate exactly and
+fails, whatever the rounding of its moments.
 """
 
 from __future__ import annotations
@@ -138,19 +142,37 @@ def pca3(points) -> AllometricFit:
 def _resampled_covariances(pts: np.ndarray, B: int, seed: int) -> np.ndarray:
     """(B, d, d) covariances of B seeded row resamples of an (m, d) point cloud.
 
-    Resamples are drawn in chunks of about _BOOTSTRAP_CHUNK_CELLS gathered
-    rows to bound memory; the draws depend only on seed, B and m.
+    Resamples are drawn in chunks of about _BOOTSTRAP_CHUNK_CELLS row indices
+    to bound memory; the draws depend only on seed, B and m.  Each chunk is
+    taken in count form: one bincount gives how often each distinct row was
+    drawn, and one matmul of those counts against the rows' first and second
+    moments, centred once on the full-sample mean, gives each resample's
+    E[x] and E[xx'], so cov = E[xx'] - E[x]E[x]'.  A resample that drew one
+    distinct row m times has no spread, but the subtraction would leave
+    rounding noise in place of its zero covariance; it is set to exactly zero
+    so that _leading_axes fails it.
     """
     if B < 200:
         raise ValueError(f"B must be >= 200, got {B}")
     m, dims = pts.shape
     rng = np.random.default_rng(seed)
     chunk = max(1, _BOOTSTRAP_CHUNK_CELLS // m)
+    rows, labels = np.unique(pts, axis=0, return_inverse=True)
+    n = len(rows)
+    centered = rows - pts.mean(axis=0)
+    moments = np.hstack([centered, (centered[:, :, None] * centered[:, None, :]).reshape(n, -1)])
     covs = np.empty((B, dims, dims))
     for done in range(0, B, chunk):
-        centered = pts[rng.integers(0, m, size=(min(chunk, B - done), m))]
-        centered -= centered.mean(axis=1)[:, None, :]
-        covs[done : done + len(centered)] = np.einsum("bmi,bmj->bij", centered, centered) / m
+        size = min(chunk, B - done)
+        drawn = labels[rng.integers(0, m, size=(size, m))]
+        drawn += n * np.arange(size)[:, None]
+        counts = np.bincount(drawn.ravel(), minlength=size * n).reshape(size, n)
+        del drawn  # freed before the float copy, so a chunk holds two (size, n) arrays at most
+        sums = counts.astype(np.float64) @ moments / m
+        mean, second = sums[:, :dims], sums[:, dims:].reshape(size, dims, dims)
+        cov = covs[done : done + size]
+        np.subtract(second, mean[:, :, None] * mean[:, None, :], out=cov)
+        cov[counts.max(axis=1) == m] = 0.0
     return covs
 
 

@@ -86,7 +86,7 @@ def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
         chunk = values[start:end]
         buys = chunk > 0
         v_b = float(chunk[buys].sum())
-        v_s = float(-chunk[~buys].sum())
+        v_s = float(0.0 - chunk[~buys].sum())  # not -sum: an all-buy patch has V_s = 0.0, not -0.0
         out.append(
             Patch(
                 firm_id=series.firm_id,

@@ -689,6 +689,7 @@ def run_report(config: RunConfig) -> dict:
         "min_firm_patches": config.min_firm_patches,
         "min_trades_per_year": config.min_trades_per_year,
         "min_active_days": config.min_active_days,
+        "activity_mode": config.activity_mode,
         "source": "synth" if config.synth is not None else ("tape" if config.tape else "artifacts"),
     }
     report = {

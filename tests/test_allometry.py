@@ -113,12 +113,13 @@ def test_bivariate_fit_matches_pairwise_pca2():
     assert all(0.5 < share <= 1.0 for share in fit.explained_variance.values())
 
 
-def _reference_ci(pts, num, den, anchor, B, seed):
-    """Percentile CI of one eigenvector-component ratio, resampling pts alone.
+def _reference_estimates(pts, num, den, anchor, B, seed):
+    """Usable ratio estimates of the gather-form bootstrap, and its failure count.
 
     The per-estimator bootstrap: its own draw over exactly the columns of
-    pts, covariance, eigh, sign fixed by the anchor component, ratio
-    lead[num] / lead[den], and the 2.5/97.5% quantiles.
+    pts, each resample's rows gathered, centred on their own mean and
+    multiplied out, eigh, sign fixed by the anchor component, and ratio
+    lead[num] / lead[den].
     """
     m = len(pts)
     rng = np.random.default_rng(seed)
@@ -142,9 +143,22 @@ def _reference_ci(pts, num, den, anchor, B, seed):
         failures += int(bad.sum())
         kept.append(est[~bad])
         done += size
+    return np.concatenate(kept), failures
+
+
+def _reference_ci(pts, num, den, anchor, B, seed):
+    """Percentile 95% CI of the gather-form bootstrap of one ratio."""
+    kept, failures = _reference_estimates(pts, num, den, anchor, B, seed)
     assert failures <= 0.01 * B
-    kept = np.concatenate(kept)
     return float(np.quantile(kept, 0.025)), float(np.quantile(kept, 0.975))
+
+
+# The fits sum each resample's moments in another order than the gather
+# oracle, so CIs agree to rounding only: the worst relative difference seen on
+# these clouds is 2.2e-15.  This bound is not to be loosened to pass.
+ORACLE_RTOL = 1e-12
+# (numerator, denominator) eigenvector components of each trivariate ratio.
+TRI_RATIOS = {"g1": (1, 2), "g2": (0, 2), "g3": (1, 0)}
 
 
 @pytest.mark.parametrize(
@@ -156,11 +170,13 @@ def test_bootstrap_cis_match_per_estimator_oracle(monkeypatch, n, chunk_cells):
     pts = _noisy_cloud(seed=74, n=n)
     B, seed = 300, 17
     tri = trivariate_fit(pts, B, seed)
-    for name, (num, den) in {"g1": (1, 2), "g2": (0, 2), "g3": (1, 0)}.items():
-        assert tri.ci95s[name] == _reference_ci(pts, num, den, 2, B, seed)
+    for name, (num, den) in TRI_RATIOS.items():
+        oracle = _reference_ci(pts, num, den, 2, B, seed)
+        assert tri.ci95s[name] == pytest.approx(oracle, rel=ORACLE_RTOL)
     bi = bivariate_fit(pts, B, seed)
     for name, columns in PAIRS.items():
-        assert bi.ci95s[name] == _reference_ci(pts[:, columns], 1, 0, 0, B, seed)
+        oracle = _reference_ci(pts[:, columns], 1, 0, 0, B, seed)
+        assert bi.ci95s[name] == pytest.approx(oracle, rel=ORACLE_RTOL)
     assert bivariate_fit(pts, B, seed + 1).ci95s != bi.ci95s
 
 
@@ -186,6 +202,45 @@ def test_degenerate_resamples_fail_the_fit(fit):
     pts = np.zeros((5, 3))
     pts[4] = (1.0, 2.0, 3.0)
     message = "estimator failed on 91/300 bootstrap resamples: degenerate data"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        fit(pts, B=300, seed=1)
+
+
+def _one_point_cloud(point, other):
+    pts = np.empty((7, 3))
+    pts[:6] = point
+    pts[6] = other
+    return pts
+
+
+@pytest.mark.parametrize(
+    ("fit", "columns", "num", "den", "anchor"),
+    [(trivariate_fit, (0, 1, 2), 1, 2, 2), (bivariate_fit, PAIRS["g1"], 1, 0, 0)],
+)
+def test_repeated_row_resamples_fail_as_in_gather_oracle(fit, columns, num, den, anchor):
+    # Six identical rows of non-dyadic values: a resample that draws only
+    # them has zero spread, but the count form's E[xx'] - E[x]E[x]' leaves
+    # rounding noise there unless such resamples are flagged exactly.  The
+    # gather oracle centres each resample on its own mean, which is exact
+    # for these values, so it fails exactly those resamples too.
+    pts = _one_point_cloud((np.log(3.0), 0.3, 0.6), (0.7, 1.3, 2.9))
+    _, failures = _reference_estimates(pts[:, columns], num, den, anchor, 300, 1)
+    assert failures == 95
+    message = f"estimator failed on {failures}/300 bootstrap resamples: degenerate data"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        fit(pts, B=300, seed=1)
+
+
+@pytest.mark.parametrize("fit", [trivariate_fit, bivariate_fit])
+def test_repeated_row_resamples_fail_whatever_their_rounding(fit):
+    # Seven copies of 0.1 do not average back to exactly 0.1, so the gather
+    # oracle keeps these resamples with an axis made of rounding error; the
+    # count form fails every resample that drew one distinct row only.
+    pts = _one_point_cloud((0.1, 0.3, 0.7), (1.1, 1.3, 2.9))
+    drawn = np.random.default_rng(1).integers(0, 7, size=(300, 7))
+    one_row = int(((drawn < 6).all(axis=1) | (drawn == 6).all(axis=1)).sum())
+    assert _reference_estimates(pts, 1, 2, 2, 300, 1)[1] == 0
+    message = f"estimator failed on {one_row}/300 bootstrap resamples: degenerate data"
     with pytest.raises(NumericalError, match=re.escape(message)):
         fit(pts, B=300, seed=1)
 

@@ -40,6 +40,14 @@ def test_cut_patches_tiles_series_with_aggregates():
     assert (second.t_first, second.t_last) == (500, 520)
 
 
+def test_cut_patches_all_buy_patch_has_positive_zero_sell_volume():
+    series = make_series([10.0, 2.0, -3.0], [100, 160, 220])
+    first, second = cut_patches(series, Segmentation(boundaries=(0, 2, 3), threshold=0.99))
+    assert str(first.V_s) == "0.0"
+    assert str(second.V_b) == "0.0"
+    assert second.V_s == 3.0
+
+
 def test_cut_patches_rejects_bad_boundaries():
     series = _series_with_mixed_signs()
     for bad in ((1, 6), (0, 4), (0, 4, 4, 6), (0, 5, 3, 6)):

@@ -72,6 +72,7 @@ def test_report_shape(small_run):
     assert report["schema_version"] == 1
     assert report["config"]["source"] == "synth"
     assert report["config"]["seed"] == 2001
+    assert report["config"]["activity_mode"] == "strict"
     assert set(report["stocks"]) == {"SYN"}
     section = report["stocks"]["SYN"]
     for key in ("counts", "tails", "allometry", "lognormality", "per_firm_exponents"):
@@ -90,6 +91,14 @@ def test_counts_reconcile(small_run):
     totals = report["totals"]
     assert totals["patches_total"] == counts["patches_total"]
     assert totals["series"] > 0
+
+
+def test_patches_csv_has_no_negative_zero(small_run):
+    config, _ = small_run
+    with open(config.out() / "patches.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert any(row[-1] == "0.0" for row in rows[1:])
+    assert not [row for row in rows if "-0.0" in row]
 
 
 def test_patch_rows_tile_each_series(small_run):
