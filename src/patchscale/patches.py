@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .segmentation import Segmentation
 from .trades import SignedSeries
 
@@ -87,6 +89,11 @@ def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
         buys = chunk > 0
         v_b = float(chunk[buys].sum())
         v_s = float(0.0 - chunk[~buys].sum())  # not -sum: an all-buy patch has V_s = 0.0, not -0.0
+        if not math.isfinite(v_b + v_s):
+            raise DataError(
+                f"firm {series.firm_id!r}, stock {series.stock_id!r}: patch [{start}, {end}) "
+                f"traded value overflows: V_b={v_b!r}, V_s={v_s!r}"
+            )
         out.append(
             Patch(
                 firm_id=series.firm_id,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allometry, lognormal, patches, segmentation, tails
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, utf8_lines
 from .synth import GroundTruth, SynthConfig, generate
 from .trades import TradeTable, filter_active_firms
 from .patches import NON_DIRECTIONAL, VARIABLES, PatchRecord
@@ -279,7 +279,7 @@ def read_patch_rows(path: Path) -> list[PatchRecord]:
         raise DataError(f"missing artifact {path}; run the segment stage first")
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(utf8_lines(path, handle))
         header = next(reader, None)
         if header is None or tuple(header) != PATCH_CSV_HEADER:
             raise DataError(f"{path}: bad patch CSV header {header!r}")

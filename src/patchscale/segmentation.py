@@ -269,6 +269,11 @@ def segment(
     if n < 4:
         return Segmentation(boundaries=(0, n), threshold=threshold)
 
+    # t is scale-invariant and scaling by a power of two is exact, so bring
+    # max|x| into [0.5, 1): the squares in the prefix sums then cannot overflow.
+    peak = float(np.abs(x).max())
+    if peak > 0.0:
+        x = np.ldexp(x, -np.frexp(peak)[1])
     prefix = _Prefix(x - x.mean())
     boundaries = [0, n]
     stack = [(0, n)]

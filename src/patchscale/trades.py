@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -10,8 +11,9 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import DataError, utf8_lines
 
 TRADE_CSV_HEADER = ("timestamp", "firm_id", "stock_id", "side", "value")
 BUY = "B"
@@ -19,6 +21,22 @@ SELL = "S"
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _SECONDS_PER_DAY = 86400
+
+# Block-wise tape I/O: bytes read per parse block (cut back to a newline)
+# and rows formatted per write.
+_READ_BYTES = 1 << 20
+_WRITE_ROWS = 1 << 16
+_HEADER_LINE = (",".join(TRADE_CSV_HEADER) + "\n").encode()
+# Timestamps of up to 18 digits fit int64; longer ones take the row loop.
+_MAX_TS_DIGITS = 18
+# Byte lookups on zero-padded fields (a tape on this path holds no NUL, so
+# 0 is padding): the digit's value, 10 for a byte that is not a digit; and
+# whether a byte may appear in a value.
+_DIGIT_VALUE = np.full(256, 10, dtype=np.int64)
+_DIGIT_VALUE[0] = 0
+_DIGIT_VALUE[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
+_NUMBER = np.zeros(256, dtype=bool)
+_NUMBER[np.frombuffer(b"\x000123456789.eE+-", dtype=np.uint8)] = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +91,139 @@ def _row_error(path: str | Path, fields: list[str], line_no: int) -> DataError:
     if not value > 0:
         return DataError(f"{where}: value must be strictly positive, got {raw_value}")
     return DataError(f"{where}: malformed row")
+
+
+def _csv_cells(ids: list[str]) -> np.ndarray:
+    """Each id as csv.writer writes it in a row's first cell, quoted if need be."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    cells = []
+    for ident in ids:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((ident, ""))
+        cells.append(buffer.getvalue()[:-2])
+    return np.array(cells, dtype=object)
+
+
+class _Interner:
+    """Codes for ids in order of first appearance, kept across blocks."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.codes: dict[bytes, int] = {}
+
+    def encode(self, keys: np.ndarray) -> np.ndarray:
+        """int32 codes of one block's id keys: zero-padded bytes as uint64 or S<w>.
+
+        Raises UnicodeDecodeError on an id that is not UTF-8.
+        """
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        lookup = np.empty(len(distinct), dtype=np.int32)
+        for u in np.argsort(first).tolist():
+            raw = distinct[u].tobytes().rstrip(b"\0")
+            code = self.codes.get(raw)
+            if code is None:
+                self.ids.append(raw.decode("utf-8"))
+                code = self.codes[raw] = len(self.ids) - 1
+            lookup[u] = code
+        return lookup[inverse.reshape(-1)]
+
+
+def _parse_block(block: bytes, firms: _Interner, stocks: _Interner) -> tuple | None:
+    """Columns of a block of whole LF-terminated tape lines, or None if any check fails.
+
+    Raises ValueError on a value numpy cannot parse or an id that is not UTF-8.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    n = len(ends)
+    if len(commas) != 4 * n:
+        return None
+    # Separator offsets per line: the previous line's newline, four commas,
+    # the line's own newline; field k spans (seps[k], seps[k + 1]).
+    seps = np.column_stack((np.concatenate(([-1], ends[:-1])), commas.reshape(n, 4), ends))
+    # The offsets are sorted and there are 4n commas in all, so each line
+    # holds exactly four when its first comma and its last lie inside it.
+    if not ((seps[:, 1] > seps[:, 0]).all() and (seps[:, 4] < seps[:, 5]).all()):
+        return None
+    lengths = np.diff(seps, axis=1) - 1
+    widths = lengths.max(axis=0)
+    # Ids up to 8 bytes wide are interned as uint64 keys, so windows span
+    # at least 8 bytes; the zeros let the last line's windows run past it.
+    span = max(int(widths.max()), 8)
+    windows = sliding_window_view(np.concatenate((raw, np.zeros(span, dtype=np.uint8))), span)
+
+    def field(k: int, width: int) -> np.ndarray:
+        """Field k of every line as a zero-padded (n, width) uint8 matrix."""
+        matrix = windows[seps[:, k] + 1, :width]
+        matrix *= np.arange(width) < lengths[:, k, None]
+        return matrix
+
+    def ids(k: int, interner: _Interner) -> np.ndarray:
+        if widths[k] <= 8:
+            return interner.encode(field(k, 8).view(np.uint64).reshape(n))
+        return interner.encode(field(k, widths[k]).view(f"S{widths[k]}").reshape(n))
+
+    if not 1 <= lengths[:, 0].min() <= widths[0] <= _MAX_TS_DIGITS:
+        return None
+    digits = _DIGIT_VALUE[field(0, widths[0])]
+    if digits.max() > 9:
+        return None
+    # Left-aligned digits read as a widths[0]-digit number, then the
+    # padding's trailing zeros divided off.
+    powers = 10 ** np.arange(widths[0] - 1, -1, -1, dtype=np.int64)
+    timestamps = (digits @ powers) // powers[lengths[:, 0] - 1]
+
+    sides = raw[seps[:, 3] + 1]
+    if not ((lengths[:, 3] == 1) & ((sides == ord(BUY)) | (sides == ord(SELL)))).all():
+        return None
+    signs = np.where(sides == ord(BUY), 1, -1).astype(np.int8)
+
+    if lengths[:, 4].min() < 1:
+        return None
+    cells = field(4, widths[4])
+    if not _NUMBER[cells].all():
+        return None
+    values = cells.view(f"S{widths[4]}").reshape(n).astype(np.float64)
+    if not (np.isfinite(values) & (values > 0)).all():
+        return None
+    return timestamps, ids(1, firms), ids(2, stocks), signs, values
+
+
+def _parse_plain(path: str | Path) -> TradeTable | None:
+    """The table of an unquoted LF tape, parsed block-wise; None if the row loop must parse it.
+
+    Accepts a strict subset of what the row loop accepts: the exact header,
+    no quote, CR or NUL byte, a final newline, and per row five fields in
+    the simplest form each can take.  Ids must decode as UTF-8.
+    """
+    firms, stocks = _Interner(), _Interner()
+    columns = []
+    with open(path, "rb") as handle:
+        if handle.read(len(_HEADER_LINE)) != _HEADER_LINE:
+            return None
+        tail = b""
+        while chunk := handle.read(_READ_BYTES):
+            buffer = tail + chunk
+            cut = buffer.rfind(b"\n") + 1
+            block, tail = buffer[:cut], buffer[cut:]
+            if not block:
+                continue
+            if b'"' in block or b"\r" in block or b"\0" in block:
+                return None
+            try:
+                parsed = _parse_block(block, firms, stocks)
+            except ValueError:  # an unparsable value, or an id that is not UTF-8
+                return None
+            if parsed is None:
+                return None
+            columns.append(parsed)
+    if tail or not columns:
+        return None
+    timestamps, firm_codes, stock_codes, signs, values = (np.concatenate(c) for c in zip(*columns))
+    return TradeTable(timestamps, firm_codes, stock_codes, signs, values, firms.ids, stocks.ids)
 
 
 class TradeTable:
@@ -144,15 +295,24 @@ class TradeTable:
         """Parse a trade CSV; a malformed row raises DataError with its line number.
 
         Values must be finite and strictly positive: a signed value of 0 has
-        no side.
+        no side.  An unquoted LF tape, the form to_csv writes, is parsed
+        block-wise with numpy; anything else, and any tape that fails a
+        check, goes through the row loop, which alone names a bad line.
         """
+        table = _parse_plain(path)
+        if table is None:
+            table = cls._parse_rows(path)
+        return table
+
+    @classmethod
+    def _parse_rows(cls, path: str | Path) -> TradeTable:
         timestamps: list[int] = []
         firm_ids: list[str] = []
         stock_ids: list[str] = []
         signs: list[int] = []
         values: list[float] = []
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
+            reader = csv.reader(utf8_lines(path, handle))
             try:
                 header = next(reader)
             except StopIteration:
@@ -181,21 +341,24 @@ class TradeTable:
         return cls.from_rows(timestamps, firm_ids, stock_ids, signs, values)
 
     def to_csv(self, path: str | Path) -> None:
-        side_of = {1: BUY, -1: SELL}
+        """Write the tape as csv.writer would: ids quoted only where needed, LF line ends.
+
+        Rows are formatted and written in blocks, never as one whole-tape string.
+        """
+        firm_cells = _csv_cells(self.firms)
+        stock_cells = _csv_cells(self.stocks)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(TRADE_CSV_HEADER)
-            firm_ids = [self.firms[c] for c in self.firm_codes.tolist()]
-            stock_ids = [self.stocks[c] for c in self.stock_codes.tolist()]
-            writer.writerows(
-                zip(
-                    self.timestamps.tolist(),
-                    firm_ids,
-                    stock_ids,
-                    (side_of[s] for s in self.signs.tolist()),
-                    (repr(v) for v in self.values.tolist()),
+            handle.write(",".join(TRADE_CSV_HEADER) + "\n")
+            for lo in range(0, len(self), _WRITE_ROWS):
+                rows = slice(lo, lo + _WRITE_ROWS)
+                columns = zip(
+                    self.timestamps[rows].tolist(),
+                    firm_cells[self.firm_codes[rows]].tolist(),
+                    stock_cells[self.stock_codes[rows]].tolist(),
+                    np.where(self.signs[rows] > 0, BUY, SELL).tolist(),
+                    self.values[rows].tolist(),
                 )
-            )
+                handle.write("".join([f"{t},{f},{s},{d},{v!r}\n" for t, f, s, d, v in columns]))
 
     def iter_series(self, firm_ids: set[str] | None = None) -> Iterator[SignedSeries]:
         """Yield one SignedSeries per (firm, stock) pair, ordered by identifier.

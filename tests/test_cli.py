@@ -93,6 +93,35 @@ def test_malformed_tape_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_non_utf8_tape_is_data_error(tmp_path, capsys):
+    tape = tmp_path / "tape.csv"
+    tape.write_bytes(b"timestamp,firm_id,stock_id,side,value\n1,F\xff1,S1,B,1.0\n")
+    code = main(["ingest", "--tape", str(tape), "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert f"{tape}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_patches_csv_is_data_error(small_run, tmp_path, capsys):
+    config, _ = small_run
+    lines = (config.out() / "patches.csv").read_bytes().split(b"\n")
+    lines[3] = b"F\xff" + lines[3]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "patches.csv").write_bytes(b"\n".join(lines))
+    assert main(["analyze", "--output-dir", str(out)]) == EXIT_DATA
+    assert f"{out / 'patches.csv'}: line 4: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_overflowing_patch_value_is_data_error(tmp_path, capsys):
+    # Thirty buys of 1e307 sum past the largest float inside one patch.
+    tape = tmp_path / "tape.csv"
+    write_tape([(t, "F1", "S1", "B", 1e307 if t < 30 else 1.0) for t in range(60)], tape)
+    argv = ["all", "--tape", str(tape), "--output-dir", str(tmp_path / "out")]
+    code = main([*argv, "--min-trades-per-year", "0", "--min-active-days", "0"])
+    assert code == EXIT_DATA
+    assert "firm 'F1', stock 'S1': patch" in capsys.readouterr().err
+
+
 def test_analyze_without_artifacts_is_data_error(tmp_path):
     assert main(["analyze", "--output-dir", str(tmp_path / "empty")]) == EXIT_DATA
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_patch, make_series
+from patchscale.errors import DataError
 from patchscale.patches import (
     PatchRecord,
     as_directional,
@@ -46,6 +47,14 @@ def test_cut_patches_all_buy_patch_has_positive_zero_sell_volume():
     assert str(first.V_s) == "0.0"
     assert str(second.V_b) == "0.0"
     assert second.V_s == 3.0
+
+
+def test_cut_patches_rejects_overflowing_aggregates():
+    series = make_series([1e308, 1e308, -1e308, -1e308], firm_id="F7", stock_id="SAN")
+    with pytest.raises(DataError, match=r"firm 'F7', stock 'SAN': patch \[0, 4\)"):
+        cut_patches(series, Segmentation(boundaries=(0, 4), threshold=0.99))
+    with pytest.raises(DataError, match=r"patch \[0, 2\) traded value overflows: V_b=inf"):
+        cut_patches(series, Segmentation(boundaries=(0, 2, 4), threshold=0.99))
 
 
 def test_cut_patches_rejects_bad_boundaries():

@@ -1,11 +1,15 @@
 """Trade-CSV parsing, activity filtering, and signed-series construction."""
 
+import csv
 import re
 
+import numpy as np
 import pytest
 
 from conftest import make_table
+from patchscale import trades
 from patchscale.errors import DataError
+from patchscale.synth import generate, small_preset
 from patchscale.trades import TradeTable, filter_active_firms
 
 HEADER = "timestamp,firm_id,stock_id,side,value\n"
@@ -86,6 +90,170 @@ def test_table_csv_round_trip(tmp_path):
     twice = tmp_path / "tape2.csv"
     again.to_csv(twice)
     assert path.read_bytes() == twice.read_bytes()
+
+
+COLUMNS = ("timestamps", "firm_codes", "stock_codes", "signs", "values")
+
+
+def _assert_same_table(got, want):
+    for name in COLUMNS:
+        got_column, want_column = getattr(got, name), getattr(want, name)
+        assert got_column.dtype == want_column.dtype, name
+        assert got_column.tobytes() == want_column.tobytes(), name
+    assert got.firms == want.firms
+    assert got.stocks == want.stocks
+
+
+def _tape_lines(n, seed=0):
+    """n canonical tape lines over a few firms and stocks, in to_csv's form."""
+    rng = np.random.default_rng(seed)
+    timestamps = 1577836800 + np.sort(rng.integers(0, 10**7, n))
+    firms = rng.integers(0, 40, n)
+    stocks = rng.integers(0, 3, n)
+    sides = rng.integers(0, 2, n)
+    values = rng.lognormal(7.0, 2.0, n)
+    columns = zip(timestamps.tolist(), firms.tolist(), stocks.tolist(), sides.tolist(), values.tolist())
+    return [f"{t},F{f:02d},S{s},{'BS'[d]},{v!r}\n" for t, f, s, d, v in columns]
+
+
+FAST_TAPES = {
+    "canonical": "".join(_tape_lines(500)),
+    "leading-zero timestamps": "0,F1,S1,B,1.0\n007,F1,S1,S,2.5\n"
+    "000000000000000042,F2,S1,B,3.0\n999999999999999999,F2,S1,B,4.0\n",
+    "exponent values": "1,F1,S1,B,1e-05\n2,F1,S1,S,1e+16\n3,F1,S1,B,2.5E-3\n4,F1,S1,B,.5\n"
+    "5,F1,S1,B,7.\n6,F1,S1,B,+3\n7,F1,S1,B,1e308\n",
+    "17-digit reprs": "1,F1,S1,B,0.30000000000000004\n2,F1,S1,S,2455.3849750134502\n"
+    "3,F1,S1,B,1.7976931348623157e+308\n4,F1,S1,B,9007199254740993\n",
+    "subnormals": "1,F1,S1,B,5e-324\n2,F1,S1,S,2.225073858507201e-308\n"
+    "3,F1,S1,B,4.9406564584124654e-324\n",
+    "long and unicode ids": "1,firm-with-a-long-name,Société Générale,B,1.0\n2,F1,S1,S,2.0\n"
+    "3,firm-with-a-long-name,S1,B,3.0\n4,,S1,B,4.0\n5,F 1 ,Société Générale,S,5.0\n",
+}
+
+FALLBACK_TAPES = {
+    "quoted ids with commas": (
+        HEADER + '1,"F,1",S1,B,1.0\n2,F2,"S ""1""",S,2.0\n',
+        [[1, 2], ["F,1", "F2"], ["S1", 'S "1"'], [1, -1], [1.0, 2.0]],
+    ),
+    "quoted ids without commas": (
+        HEADER + '1,"F1",S1,B,1.0\n',
+        [[1], ["F1"], ["S1"], [1], [1.0]],
+    ),
+    "NUL in an id": (HEADER + "1,F\x001,S1,B,1.0\n", [[1], ["F\x001"], ["S1"], [1], [1.0]]),
+    "CRLF line ends": (
+        HEADER.replace("\n", "\r\n") + "1,F1,S1,B,1.0\r\n2,F2,S1,S,2.0\r\n",
+        [[1, 2], ["F1", "F2"], ["S1", "S1"], [1, -1], [1.0, 2.0]],
+    ),
+    "no final newline": (
+        HEADER + "1,F1,S1,B,1.0\n2,F2,S1,S,2.0",
+        [[1, 2], ["F1", "F2"], ["S1", "S1"], [1, -1], [1.0, 2.0]],
+    ),
+    "header only": (HEADER, [[], [], [], [], []]),
+    "spaces the row loop strips": (
+        HEADER + " 1,F1,S1,B, 1.0\n1_000,F2,S1,S,2_0.5\n",
+        [[1, 1000], ["F1", "F2"], ["S1", "S1"], [1, -1], [1.0, 20.5]],
+    ),
+    "19-digit timestamp": (HEADER + "0000000000000000001,F1,S1,B,1.0\n", [[1], ["F1"], ["S1"], [1], [1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_TAPES))
+def test_block_parse_matches_row_loop(tmp_path, monkeypatch, name):
+    path = tmp_path / "tape.csv"
+    path.write_text(HEADER + FAST_TAPES[name], encoding="utf-8")
+    loop = TradeTable._parse_rows(path)
+    _assert_same_table(trades._parse_plain(path), loop)
+    # The same tape cut into many small blocks interns ids across blocks.
+    monkeypatch.setattr(trades, "_READ_BYTES", 64)
+    _assert_same_table(trades._parse_plain(path), loop)
+    _assert_same_table(TradeTable.from_csv(path), loop)
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_TAPES))
+def test_other_dialects_take_the_row_loop(tmp_path, name):
+    text, columns = FALLBACK_TAPES[name]
+    path = tmp_path / "tape.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert trades._parse_plain(path) is None
+    table = TradeTable.from_csv(path)
+    assert [list(c) for c in _columns(table)] == columns
+    _assert_same_table(table, TradeTable._parse_rows(path))
+
+
+# Each bad cell lands on one line of the second 1 MiB block.
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("7,F1,S1,B,inf", "value must be finite, got inf"),
+        ("7,F1,S1,B,1e400", "value must be finite, got 1e400"),
+        ("7,F1,S1,B,1e5e5", "bad value '1e5e5'"),
+        ("7,F1,S1,B,-3", "value must be strictly positive, got -3"),
+        ("7,F1,S1,B,0.0", "value must be strictly positive, got 0.0"),
+        ("7,F1,S1,Q,1.0", "side must be B or S, got 'Q'"),
+        ("-7,F1,S1,B,1.0", "negative timestamp -7"),
+        ("7x,F1,S1,B,1.0", "bad timestamp '7x'"),
+        ("7,F1,S1,B", "expected 5 fields, got 4"),
+        ("7,F1,S1,B,1.0,", "expected 5 fields, got 6"),
+        ("7,F\r1,S1,B,1.0", "expected 5 fields, got 2"),
+        ("", "expected 5 fields, got 0"),
+    ],
+)
+def test_bad_row_in_a_later_block_names_its_line(tmp_path, row, message):
+    lines = _tape_lines(40_000)
+    bad_line = 35_000
+    lines[bad_line - 2] = row + "\n"
+    path = tmp_path / "tape.csv"
+    path.write_text(HEADER + "".join(lines))
+    assert sum(map(len, lines[: bad_line - 2])) > trades._READ_BYTES
+    with pytest.raises(DataError, match=re.escape(f"{path}: line {bad_line}: {message}")):
+        TradeTable.from_csv(path)
+
+
+def test_non_utf8_tape_names_file_and_line(tmp_path):
+    path = tmp_path / "tape.csv"
+    path.write_bytes(HEADER.encode() + b"1,F1,S1,B,1.0\n1,F\xff1,S1,B,1.0\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 3: not valid UTF-8")):
+        TradeTable.from_csv(path)
+
+
+def _csv_writer_oracle(table, path):
+    """The tape writer before block-wise formatting: csv.writer over whole columns."""
+    side_of = {1: "B", -1: "S"}
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(trades.TRADE_CSV_HEADER)
+        writer.writerows(
+            zip(
+                table.timestamps.tolist(),
+                [table.firms[c] for c in table.firm_codes.tolist()],
+                [table.stocks[c] for c in table.stock_codes.tolist()],
+                (side_of[s] for s in table.signs.tolist()),
+                (repr(v) for v in table.values.tolist()),
+            )
+        )
+
+
+QUOTED_ROWS = [
+    (1, "F,1", "SAN", "B", 1.5),
+    (2, 'say "hi"', "line\nbreak", "S", 2.0),
+    (3, "", " lead", "B", 1e-300),
+    (4, "Société", "tab\tid", "S", 5e-324),
+    (5, "F,1", "'single'", "B", 1.7976931348623157e308),
+]
+
+
+@pytest.mark.parametrize("name", ["synthetic", "quoted ids"])
+def test_to_csv_matches_csv_writer_oracle(tmp_path, monkeypatch, name):
+    if name == "synthetic":
+        table, _ = generate(small_preset())
+    else:
+        table = make_table(QUOTED_ROWS)
+    monkeypatch.setattr(trades, "_WRITE_ROWS", 1000)
+    path, oracle = tmp_path / "tape.csv", tmp_path / "oracle.csv"
+    table.to_csv(path)
+    _csv_writer_oracle(table, oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+    assert _columns(TradeTable.from_csv(path)) == _columns(table)
 
 
 def test_iter_series_signs_and_grouping():
