@@ -101,6 +101,7 @@ def _csv_cells(ids: list[str]) -> np.ndarray:
     for ident in ids:
         buffer.seek(0)
         buffer.truncate()
+        # A second, empty cell: csv.writer quotes a row's only cell when it is empty.
         writer.writerow((ident, ""))
         cells.append(buffer.getvalue()[:-2])
     return np.array(cells, dtype=object)
