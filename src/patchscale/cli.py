@@ -31,19 +31,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser) -> None:
+    """The run settings; every stage takes all of them, so a staged run can repeat one argv."""
     parser.add_argument("--output-dir", required=True, help="artifact directory for this run")
     parser.add_argument("--config", metavar="JSON", help="run-config JSON file; explicit flags win")
     parser.add_argument("--seed", type=int, help="top-level seed; stage seeds derive from it")
-
-
-def _add_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tape", help="trade-CSV input path")
     parser.add_argument("--preset", choices=sorted(_PRESETS), help="built-in generator preset")
     parser.add_argument("--synth-config", metavar="JSON", help="generator settings JSON file")
-
-
-def _add_segment_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--min-trades-per-year", type=int, help="activity filter: trades per year")
+    parser.add_argument("--min-active-days", type=int, help="activity filter: active days per year")
+    parser.add_argument(
+        "--activity-mode",
+        choices=("strict", "prorated"),
+        help="activity thresholds as given, or scaled to the part of each year the tape spans",
+    )
     parser.add_argument("--threshold", type=float, help="significance required to accept a cut")
     parser.add_argument(
         "--significance-mode",
@@ -53,58 +55,26 @@ def _add_segment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mc-trials", type=int, help="Monte Carlo trials for the null table")
     parser.add_argument("--theta", type=float, help="dominant-side value share for buy/sell")
     parser.add_argument("--min-patch-trades", type=int, help="minimum trades for an analyzed patch")
-
-
-def _add_analyze_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k-policy", help="tail cutoff policy: auto, fraction:<f>, or fixed:<k>")
     parser.add_argument("--bootstrap-samples", type=int, help="bootstrap resamples for CIs")
     parser.add_argument("--min-firm-patches", type=int, help="patches required to test a firm")
 
 
-def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-trades-per-year", type=int, help="activity filter: trades per year")
-    parser.add_argument("--min-active-days", type=int, help="activity filter: active days per year")
-    parser.add_argument(
-        "--activity-mode",
-        choices=("strict", "prorated"),
-        help="activity thresholds as given, or scaled to the part of each year the tape spans",
-    )
+_COMMANDS = {
+    "synth": "generate a synthetic tape with ground truth",
+    "ingest": "validate a tape and compute firm activity",
+    "segment": "detect patches in every qualifying series",
+    "analyze": "tail, allometric, and lognormality statistics",
+    "report": "compose the report and plot data from artifacts",
+    "all": "run every stage end to end",
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="patchscale", description="Patch detection and scaling-law analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic tape with ground truth")
-    _add_common(p)
-    p.add_argument("--preset", choices=sorted(_PRESETS), help="built-in generator preset")
-    p.add_argument("--synth-config", metavar="JSON", help="generator settings JSON file")
-
-    p = sub.add_parser("ingest", help="validate a tape and compute firm activity")
-    _add_common(p)
-    p.add_argument("--tape", help="trade-CSV input path")
-    _add_ingest_flags(p)
-
-    p = sub.add_parser("segment", help="detect patches in every qualifying series")
-    _add_common(p)
-    p.add_argument("--tape", help="trade-CSV input path")
-    _add_segment_flags(p)
-
-    p = sub.add_parser("analyze", help="tail, allometric, and lognormality statistics")
-    _add_common(p)
-    _add_analyze_flags(p)
-    p.add_argument("--min-patch-trades", type=int, help="minimum trades for an analyzed patch")
-    p.add_argument("--theta", type=float, help="dominant-side value share for buy/sell")
-
-    p = sub.add_parser("report", help="compose the report and plot data from artifacts")
-    _add_common(p)
-
-    p = sub.add_parser("all", help="run every stage end to end")
-    _add_common(p)
-    _add_source(p)
-    _add_ingest_flags(p)
-    _add_segment_flags(p)
-    _add_analyze_flags(p)
+    for command, summary in _COMMANDS.items():
+        _add_flags(sub.add_parser(command, help=summary))
     return parser
 
 
@@ -121,8 +91,8 @@ def _load_json_file(path: str) -> dict:
 
 
 def _resolve_synth(args: argparse.Namespace, overlay: dict) -> SynthConfig | None:
-    preset = getattr(args, "preset", None)
-    synth_path = getattr(args, "synth_config", None)
+    preset = args.preset
+    synth_path = args.synth_config
     if preset and synth_path:
         raise UsageError("give either --preset or --synth-config, not both")
     if preset:
@@ -144,7 +114,7 @@ def _resolve_synth(args: argparse.Namespace, overlay: dict) -> SynthConfig | Non
 
 def make_run_config(args: argparse.Namespace) -> pipeline.RunConfig:
     """Merge defaults, the optional config file, and explicit flags."""
-    overlay = _load_json_file(args.config) if getattr(args, "config", None) else {}
+    overlay = _load_json_file(args.config) if args.config else {}
 
     settings: dict = {key: value for key, value in overlay.items() if key != "synth"}
     # Each flag's destination is the RunConfig field it sets (--output-dir too).

@@ -84,31 +84,33 @@ def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
     values = series.signed_values
     timestamps = series.timestamps
     out = []
-    for start, end in zip(boundaries[:-1], boundaries[1:]):
-        chunk = values[start:end]
-        buys = chunk > 0
-        v_b = float(chunk[buys].sum())
-        v_s = float(0.0 - chunk[~buys].sum())  # not -sum: an all-buy patch has V_s = 0.0, not -0.0
-        if not math.isfinite(v_b + v_s):
-            raise DataError(
-                f"firm {series.firm_id!r}, stock {series.stock_id!r}: patch [{start}, {end}) "
-                f"traded value overflows: V_b={v_b!r}, V_s={v_s!r}"
+    # An overflowing sum is reported as the DataError below, not as a numpy warning.
+    with np.errstate(over="ignore"):
+        for start, end in zip(boundaries[:-1], boundaries[1:]):
+            chunk = values[start:end]
+            buys = chunk > 0
+            v_b = float(chunk[buys].sum())
+            v_s = float(0.0 - chunk[~buys].sum())  # not -sum: an all-buy patch has V_s = 0.0, not -0.0
+            if not math.isfinite(v_b + v_s):
+                raise DataError(
+                    f"firm {series.firm_id!r}, stock {series.stock_id!r}: patch [{start}, {end}) "
+                    f"traded value overflows: V_b={v_b!r}, V_s={v_s!r}"
+                )
+            out.append(
+                Patch(
+                    firm_id=series.firm_id,
+                    stock_id=series.stock_id,
+                    start=int(start),
+                    end=int(end),
+                    V_b=v_b,
+                    V_s=v_s,
+                    V=v_b + v_s,
+                    n_buy=int(buys.sum()),
+                    n_sell=int(end - start - buys.sum()),
+                    t_first=int(timestamps[start]),
+                    t_last=int(timestamps[end - 1]),
+                )
             )
-        out.append(
-            Patch(
-                firm_id=series.firm_id,
-                stock_id=series.stock_id,
-                start=int(start),
-                end=int(end),
-                V_b=v_b,
-                V_s=v_s,
-                V=v_b + v_s,
-                n_buy=int(buys.sum()),
-                n_sell=int(end - start - buys.sum()),
-                t_first=int(timestamps[start]),
-                t_last=int(timestamps[end - 1]),
-            )
-        )
     return out
 
 

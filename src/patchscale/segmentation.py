@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ DEFAULT_THRESHOLD = 0.99
 DEFAULT_MC_TRIALS = 10_000
 # Closed-form eta = 4.19 ln n - 11.54 is non-positive below n ~ 16, so the
 # approximation saturates there; windows below this length use the Monte
-# Carlo null unless the caller overrides.
+# Carlo null.
 SMALL_N_MC = 20
 # Internal seed for Monte Carlo null tables; fixed so identical inputs give
 # identical segmentations without caller-supplied seeds.
@@ -32,44 +32,41 @@ DEFAULT_MC_SEED = 271828
 
 
 @dataclass(frozen=True, slots=True)
-class CutCandidate:
-    """Best split of a window: position and its t value."""
-
-    position: int
-    t_value: float
-
-
-@dataclass(frozen=True, slots=True)
 class Segmentation:
     """Strictly increasing boundary indices from 0 to series length."""
 
     boundaries: tuple[int, ...]
-    threshold: float
-
-    def segments(self) -> list[tuple[int, int]]:
-        return list(zip(self.boundaries[:-1], self.boundaries[1:]))
 
 
-def t_statistic(values: Sequence[float], split: int) -> float:
-    """Pooled-variance two-sample t between values[:split] and values[split:].
+def _pooled_t(sum_left, sq_left, sum_right, sq_right, n_left, n_right, n):
+    """Pooled-variance two-sample t from each side's sum, sum of squares and count.
 
-    The direct form, kept as the oracle for the prefix-sum scan.  When the
-    variance vanishes entirely, returns +inf for distinct means and 0.0 for
-    equal means (a deterministic step is maximally significant).
+    n is the window length n_left + n_right.  Works on scalars and,
+    elementwise, on arrays.  Rounding can leave a side's sum of squared
+    deviations slightly below zero; it counts as zero.  When the pooled
+    variance vanishes, t is +inf for distinct means and 0.0 for equal means
+    (a deterministic step is maximally significant).
     """
-    x = np.asarray(values, dtype=np.float64)
-    n_left = split
-    n_right = len(x) - split
-    if n_left < 2 or n_right < 2:
-        raise ValueError(f"each side needs >= 2 points, got {n_left} and {n_right}")
-    left = x[:split]
-    right = x[split:]
-    diff = abs(float(left.mean()) - float(right.mean()))
-    pooled = (left.var(ddof=0) * n_left + right.var(ddof=0) * n_right) / (n_left + n_right - 2)
-    denom_sq = pooled * (1.0 / n_left + 1.0 / n_right)
-    if denom_sq <= 0.0:
-        return float("inf") if diff > 0.0 else 0.0
-    return diff / float(np.sqrt(denom_sq))
+    ss_left = sq_left - sum_left * sum_left / n_left
+    ss_right = sq_right - sum_right * sum_right / n_right
+    diff = abs(sum_left / n_left - sum_right / n_right)
+    # ss * (ss > 0.0) is max(ss, 0.0) up to the sign of a zero, and unlike
+    # np.maximum it costs no ufunc call on a scalar.
+    denom_sq = (ss_left * (ss_left > 0.0) + ss_right * (ss_right > 0.0)) / (n - 2) * (
+        1.0 / n_left + 1.0 / n_right
+    )
+    if np.ndim(denom_sq) == 0:
+        # One split (the neighbour test): errstate and masking would cost
+        # more than the statistic itself.
+        if denom_sq <= 0.0:
+            return float("inf") if diff > 0.0 else 0.0
+        return diff / np.sqrt(denom_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = diff / np.sqrt(denom_sq)
+    degenerate = denom_sq <= 0.0
+    if degenerate.any():
+        t[degenerate] = np.where(diff[degenerate] > 0.0, np.inf, 0.0)
+    return t
 
 
 class _Prefix:
@@ -83,56 +80,30 @@ class _Prefix:
 
     def range_t(self, lo: int, mid: int, hi: int) -> float:
         """t between [lo, mid) and [mid, hi)."""
-        n_left = mid - lo
-        n_right = hi - mid
-        sum_left = self.sums[mid] - self.sums[lo]
-        sum_right = self.sums[hi] - self.sums[mid]
-        ss_left = max(self.sq_sums[mid] - self.sq_sums[lo] - sum_left * sum_left / n_left, 0.0)
-        ss_right = max(
-            self.sq_sums[hi] - self.sq_sums[mid] - sum_right * sum_right / n_right, 0.0
+        sums, sq_sums = self.sums, self.sq_sums
+        return _pooled_t(
+            sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo],
+            sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid],
+            mid - lo, hi - mid, hi - lo,
         )
-        diff = abs(sum_left / n_left - sum_right / n_right)
-        denom_sq = (ss_left + ss_right) / (n_left + n_right - 2) * (1.0 / n_left + 1.0 / n_right)
-        if denom_sq <= 0.0:
-            return float("inf") if diff > 0.0 else 0.0
-        return diff / float(np.sqrt(denom_sq))
 
     def scan(self, lo: int, hi: int) -> tuple[int, float]:
-        """Position and value of the maximum t over all admissible splits of [lo, hi)."""
+        """Position and value of the maximum t over all admissible splits of [lo, hi).
+
+        Ties are broken toward the smallest position.
+        """
+        sums, sq_sums = self.sums, self.sq_sums
         positions = np.arange(lo + 2, hi - 1)
         n_left = (positions - lo).astype(np.float64)
-        n_right = (hi - positions).astype(np.float64)
-        sum_left = self.sums[positions] - self.sums[lo]
-        sum_right = (self.sums[hi] - self.sums[lo]) - sum_left
-        ss_left = self.sq_sums[positions] - self.sq_sums[lo] - sum_left * sum_left / n_left
-        ss_right = (
-            (self.sq_sums[hi] - self.sq_sums[lo])
-            - (self.sq_sums[positions] - self.sq_sums[lo])
-            - sum_right * sum_right / n_right
+        sum_left = sums[positions] - sums[lo]
+        sq_left = sq_sums[positions] - sq_sums[lo]
+        t = _pooled_t(
+            sum_left, sq_left,
+            (sums[hi] - sums[lo]) - sum_left, (sq_sums[hi] - sq_sums[lo]) - sq_left,
+            n_left, hi - lo - n_left, hi - lo,
         )
-        np.maximum(ss_left, 0.0, out=ss_left)
-        np.maximum(ss_right, 0.0, out=ss_right)
-        diff = np.abs(sum_left / n_left - sum_right / n_right)
-        denom_sq = (ss_left + ss_right) / (hi - lo - 2) * (1.0 / n_left + 1.0 / n_right)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = diff / np.sqrt(denom_sq)
-        degenerate = denom_sq <= 0.0
-        if degenerate.any():
-            t[degenerate] = np.where(diff[degenerate] > 0.0, np.inf, 0.0)
         best = int(np.argmax(t))
         return int(positions[best]), float(t[best])
-
-
-def max_t(values: Sequence[float]) -> CutCandidate | None:
-    """Best split candidate of the whole sequence, or None if fewer than 4 points.
-
-    Ties are broken toward the smallest position.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if len(x) < 4:
-        return None
-    position, t_value = _Prefix(x).scan(0, len(x))
-    return CutCandidate(position=position, t_value=t_value)
 
 
 def significance(t_max: float, n: int) -> float:
@@ -163,34 +134,26 @@ def significance(t_max: float, n: int) -> float:
 
 def _max_t_rows(rows: np.ndarray) -> np.ndarray:
     """Maximum pooled t over all splits, one value per row."""
-    n_rows, n = rows.shape
+    n = rows.shape[1]
     cum = np.cumsum(rows, axis=1)
     cum_sq = np.cumsum(rows * rows, axis=1)
-    total = cum[:, -1][:, None]
-    total_sq = cum_sq[:, -1][:, None]
     split = np.arange(2, n - 1)
     n_left = split.astype(np.float64)[None, :]
-    n_right = n - n_left
     sum_left = cum[:, split - 1]
     sq_left = cum_sq[:, split - 1]
-    ss_left = sq_left - sum_left * sum_left / n_left
-    ss_right = (total_sq - sq_left) - (total - sum_left) ** 2 / n_right
-    diff = np.abs(sum_left / n_left - (total - sum_left) / n_right)
-    denom_sq = (np.maximum(ss_left, 0.0) + np.maximum(ss_right, 0.0)) / (n - 2) * (
-        1.0 / n_left + 1.0 / n_right
+    t = _pooled_t(
+        sum_left, sq_left,
+        cum[:, -1][:, None] - sum_left, cum_sq[:, -1][:, None] - sq_left,
+        n_left, n - n_left, n,
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / np.sqrt(denom_sq)
-    bad = denom_sq <= 0.0
-    if bad.any():
-        t[bad] = np.where(diff[bad] > 0.0, np.inf, 0.0)
     return t.max(axis=1)
 
 
 @functools.cache
 def _null_table(n: int, trials: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, trials]))
-    chunk = max(1, min(trials, 2_000_000 // max(n, 1)))
+    # About 100k draws per chunk: each of the kernel's temporaries stays below 1 MB.
+    chunk = max(1, min(trials, 100_000 // max(n, 1)))
     parts = []
     remaining = trials
     while remaining > 0:
@@ -232,7 +195,7 @@ class SignificancePolicy:
     mode: str = "closed-form"
     mc_trials: int = DEFAULT_MC_TRIALS
     seed: int = DEFAULT_MC_SEED
-    small_n_mc: int = SMALL_N_MC
+    small_n_mc: ClassVar[int] = SMALL_N_MC
 
     def __post_init__(self) -> None:
         if self.mode not in ("closed-form", "monte-carlo"):
@@ -267,7 +230,7 @@ def segment(
     x = np.asarray(values, dtype=np.float64)
     n = len(x)
     if n < 4:
-        return Segmentation(boundaries=(0, n), threshold=threshold)
+        return Segmentation(boundaries=(0, n))
 
     # t is scale-invariant and scaling by a power of two is exact, so bring
     # max|x| into [0.5, 1): the squares in the prefix sums then cannot overflow.
@@ -301,4 +264,4 @@ def segment(
         insort(boundaries, position)
         stack.append((position, hi))
         stack.append((lo, position))
-    return Segmentation(boundaries=tuple(boundaries), threshold=threshold)
+    return Segmentation(boundaries=tuple(boundaries))

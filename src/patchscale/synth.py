@@ -141,24 +141,6 @@ class GroundTruth:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> GroundTruth:
-        packages = tuple(
-            PlantedPackage(
-                firm_id=str(p["firm_id"]),
-                stock_id=str(p["stock_id"]),
-                start=int(p["start"]),
-                end=int(p["end"]),
-                direction=str(p["direction"]),
-                T=int(p["T"]),
-                N_m=int(p["N_m"]),
-                V_m=float(p["V_m"]),
-            )
-            for p in payload.get("packages", ())
-        )
-        sizes = {str(k): float(v) for k, v in payload.get("firm_sizes", {}).items()}
-        return cls(packages=packages, firm_sizes=sizes)
-
 
 def paper_like(seed: int = 2001) -> SynthConfig:
     """The default preset: 1500 heavy-tailed firms, ~45k packages, one stock."""
@@ -221,58 +203,6 @@ def _split_value(total: float, parts: int, sigma: float, rng: np.random.Generato
     return total * weights / weights.sum()
 
 
-@dataclass(frozen=True, slots=True)
-class PackagePlan:
-    """One planned package before expansion into child trades."""
-
-    V_m: float
-    direction: str
-    T: int
-    N_m: int
-
-
-def _plan_firm(
-    log_size: float, config: SynthConfig, rng: np.random.Generator
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw a firm's package schedule: start time, values, counts, durations, signs."""
-    n_packages = max(1, int(rng.poisson(config.packages_per_firm_mean)))
-    start_time = config.start_time + int(rng.integers(0, 30 * 86400))
-    values, counts, durations = _package_stats(
-        np.full(n_packages, log_size), config, rng
-    )
-    first_buy = rng.random() < 0.5
-    flips = rng.random(n_packages - 1) < config.direction_flip_prob if n_packages > 1 else np.array([])
-    signs = np.empty(n_packages, dtype=np.int8)
-    signs[0] = 1 if first_buy else -1
-    for j in range(1, n_packages):
-        signs[j] = -signs[j - 1] if flips[j - 1] else signs[j - 1]
-    return start_time, values, counts, durations, signs
-
-
-def gen_packages(
-    firm_size: float, config: SynthConfig, seed: int | np.random.Generator
-) -> list[PackagePlan]:
-    """The package schedule one firm of the given size would trade.
-
-    With the stream used by generate() for that firm (SeedSequence
-    [config.seed, 1, firm_index]), this reproduces exactly the packages the
-    full tape plants for it.
-    """
-    if firm_size < 1:
-        raise ValueError(f"firm_size must be >= 1, got {firm_size}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    _, values, counts, durations, signs = _plan_firm(math.log(firm_size), config, rng)
-    return [
-        PackagePlan(
-            V_m=float(values[j]),
-            direction=DIRECTION_BUY if signs[j] == 1 else DIRECTION_SELL,
-            T=int(durations[j]),
-            N_m=int(counts[j]),
-        )
-        for j in range(len(values))
-    ]
-
-
 class _FirmEmitter:
     """Accumulates one firm's trades in chronological order."""
 
@@ -297,8 +227,16 @@ def _emit_firm(
     config: SynthConfig,
     rng: np.random.Generator,
 ) -> tuple[_FirmEmitter, list[PlantedPackage]]:
-    start_time, values, counts, durations, signs = _plan_firm(log_size, config, rng)
-    n_packages = len(values)
+    # The firm's package schedule: count, start, sizes, then directions.
+    n_packages = max(1, int(rng.poisson(config.packages_per_firm_mean)))
+    start_time = config.start_time + int(rng.integers(0, 30 * 86400))
+    values, counts, durations = _package_stats(np.full(n_packages, log_size), config, rng)
+    first_buy = rng.random() < 0.5
+    flips = rng.random(n_packages - 1) < config.direction_flip_prob if n_packages > 1 else np.array([])
+    signs = np.empty(n_packages, dtype=np.int8)
+    signs[0] = 1 if first_buy else -1
+    for j in range(1, n_packages):
+        signs[j] = -signs[j - 1] if flips[j - 1] else signs[j - 1]
     emitter = _FirmEmitter()
     planted: list[PlantedPackage] = []
     t0 = start_time

@@ -96,14 +96,16 @@ def _row_error(path: str | Path, fields: list[str], line_no: int) -> DataError:
 def _csv_cells(ids: list[str]) -> np.ndarray:
     """Each id as csv.writer writes it in a row's first cell, quoted if need be."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    # csv.writer quotes a cell that holds a character of its line terminator;
+    # "\r\n" makes it quote a lone \r too, which csv.reader reads as a row end.
+    writer = csv.writer(buffer, lineterminator="\r\n")
     cells = []
     for ident in ids:
         buffer.seek(0)
         buffer.truncate()
         # A second, empty cell: csv.writer quotes a row's only cell when it is empty.
         writer.writerow((ident, ""))
-        cells.append(buffer.getvalue()[:-2])
+        cells.append(buffer.getvalue()[:-3])
     return np.array(cells, dtype=object)
 
 
@@ -343,6 +345,9 @@ class TradeTable:
 
     def to_csv(self, path: str | Path) -> None:
         """Write the tape as csv.writer would: ids quoted only where needed, LF line ends.
+
+        Unlike csv.writer with an LF terminator, an id holding a \r is quoted,
+        so that from_csv reads back every tape this writes.
 
         Rows are formatted and written in blocks, never as one whole-tape string.
         """

@@ -112,6 +112,7 @@ def test_non_utf8_patches_csv_is_data_error(small_run, tmp_path, capsys):
     assert f"{out / 'patches.csv'}: line 4: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_patch_value_is_data_error(tmp_path, capsys):
     # Thirty buys of 1e307 sum past the largest float inside one patch.
     tape = tmp_path / "tape.csv"
@@ -141,25 +142,31 @@ def test_help_exits_cleanly(capsys):
     assert "synth" in capsys.readouterr().out
 
 
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _assert_staged_tree_matches_all(tmp_path, shared):
+    staged, combined = tmp_path / "staged", tmp_path / "combined"
+    for command in ("synth", "ingest", "segment", "analyze", "report"):
+        assert main([command, *shared, "--output-dir", str(staged)]) == EXIT_OK, command
+    assert main(["all", *shared, "--output-dir", str(combined)]) == EXIT_OK
+    assert _files(staged) == _files(combined)
+
+
 def test_stagewise_run_matches_all(tmp_path):
     # Stage commands each read the run settings afresh, so a shared config
     # file is what keeps a staged run consistent end to end.
     overlay = tmp_path / "run.json"
     overlay.write_text(json.dumps({"synth": TINY_SYNTH, "bootstrap_samples": 400}))
-    staged = str(tmp_path / "staged")
-    combined = str(tmp_path / "combined")
-    shared = ["--config", str(overlay)]
-    assert main(["synth", *shared, "--output-dir", staged]) == EXIT_OK
-    assert main(["ingest", *shared, "--output-dir", staged]) == EXIT_OK
-    assert main(["segment", *shared, "--output-dir", staged]) == EXIT_OK
-    assert main(["analyze", *shared, "--output-dir", staged]) == EXIT_OK
-    assert main(["report", *shared, "--output-dir", staged]) == EXIT_OK
-    assert main(["all", *shared, "--output-dir", combined]) == EXIT_OK
+    _assert_staged_tree_matches_all(tmp_path, ["--config", str(overlay)])
 
-    staged_report = json.loads((tmp_path / "staged" / "report.json").read_text())
-    combined_report = json.loads((tmp_path / "combined" / "report.json").read_text())
-    assert staged_report["stocks"] == combined_report["stocks"]
-    assert staged_report["totals"] == combined_report["totals"]
+
+def test_every_stage_takes_the_flags_of_all(tmp_path):
+    # The same non-default flags given to each stage: segment, analyze and
+    # report must all apply min-patch-trades and theta as `all` does.
+    flags = ["--preset", "small", "--min-patch-trades", "20", "--theta", "0.8", "--bootstrap-samples", "400"]
+    _assert_staged_tree_matches_all(tmp_path, flags)
 
 
 def test_all_reruns_from_existing_tape(tmp_path):

@@ -25,7 +25,7 @@ def _series_with_mixed_signs():
 
 def test_cut_patches_tiles_series_with_aggregates():
     series = _series_with_mixed_signs()
-    seg = Segmentation(boundaries=(0, 4, 6), threshold=0.99)
+    seg = Segmentation(boundaries=(0, 4, 6))
     first, second = cut_patches(series, seg)
 
     assert (first.start, first.end) == (0, 4)
@@ -43,25 +43,26 @@ def test_cut_patches_tiles_series_with_aggregates():
 
 def test_cut_patches_all_buy_patch_has_positive_zero_sell_volume():
     series = make_series([10.0, 2.0, -3.0], [100, 160, 220])
-    first, second = cut_patches(series, Segmentation(boundaries=(0, 2, 3), threshold=0.99))
+    first, second = cut_patches(series, Segmentation(boundaries=(0, 2, 3)))
     assert str(first.V_s) == "0.0"
     assert str(second.V_b) == "0.0"
     assert second.V_s == 3.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_cut_patches_rejects_overflowing_aggregates():
     series = make_series([1e308, 1e308, -1e308, -1e308], firm_id="F7", stock_id="SAN")
     with pytest.raises(DataError, match=r"firm 'F7', stock 'SAN': patch \[0, 4\)"):
-        cut_patches(series, Segmentation(boundaries=(0, 4), threshold=0.99))
+        cut_patches(series, Segmentation(boundaries=(0, 4)))
     with pytest.raises(DataError, match=r"patch \[0, 2\) traded value overflows: V_b=inf"):
-        cut_patches(series, Segmentation(boundaries=(0, 2, 4), threshold=0.99))
+        cut_patches(series, Segmentation(boundaries=(0, 2, 4)))
 
 
 def test_cut_patches_rejects_bad_boundaries():
     series = _series_with_mixed_signs()
     for bad in ((1, 6), (0, 4), (0, 4, 4, 6), (0, 5, 3, 6)):
         with pytest.raises(ValueError):
-            cut_patches(series, Segmentation(boundaries=bad, threshold=0.99))
+            cut_patches(series, Segmentation(boundaries=bad))
 
 
 def test_classify_directions():
@@ -119,7 +120,7 @@ def test_directional_patches_filters_short_and_nondirectional():
         ]
     )
     series = make_series(values)
-    seg = Segmentation(boundaries=(0, 20, 40, 45), threshold=0.99)
+    seg = Segmentation(boundaries=(0, 20, 40, 45))
     out = _directional(series, seg, theta=0.75, min_trades=10)
     assert [(p.start, p.end, p.direction) for p in out] == [(0, 20, "buy")]
 
@@ -128,7 +129,7 @@ def test_directional_patches_theta_monotonicity():
     rng = np.random.default_rng(7)
     values = rng.normal(0.4, 1.0, 200)
     series = make_series(values)
-    seg = Segmentation(boundaries=tuple(range(0, 201, 10)), threshold=0.99)
+    seg = Segmentation(boundaries=tuple(range(0, 201, 10)))
     sets = []
     for theta in (0.55, 0.65, 0.75, 0.85, 0.95):
         chosen = _directional(series, seg, theta=theta, min_trades=1)

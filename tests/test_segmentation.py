@@ -9,12 +9,40 @@ from patchscale.segmentation import (
     DEFAULT_MC_SEED,
     SMALL_N_MC,
     SignificancePolicy,
-    max_t,
+    _max_t_rows,
+    _Prefix,
     segment,
     significance,
     significance_mc,
-    t_statistic,
 )
+
+
+def t_statistic(values, split):
+    """Pooled-variance two-sample t between values[:split] and values[split:].
+
+    The direct form, kept as the oracle for the prefix-sum scan.  When the
+    variance vanishes entirely, returns +inf for distinct means and 0.0 for
+    equal means (a deterministic step is maximally significant).
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n_left = split
+    n_right = len(x) - split
+    if n_left < 2 or n_right < 2:
+        raise ValueError(f"each side needs >= 2 points, got {n_left} and {n_right}")
+    left = x[:split]
+    right = x[split:]
+    diff = abs(float(left.mean()) - float(right.mean()))
+    pooled = (left.var(ddof=0) * n_left + right.var(ddof=0) * n_right) / (n_left + n_right - 2)
+    denom_sq = pooled * (1.0 / n_left + 1.0 / n_right)
+    if denom_sq <= 0.0:
+        return float("inf") if diff > 0.0 else 0.0
+    return diff / float(np.sqrt(denom_sq))
+
+
+def max_t(values):
+    """(position, t) of the best split of the whole sequence."""
+    x = np.asarray(values, dtype=np.float64)
+    return _Prefix(x).scan(0, len(x))
 
 
 def test_t_statistic_hand_oracle():
@@ -36,17 +64,15 @@ def test_t_statistic_affine_invariance():
 
 
 def test_max_t_step_and_constant():
-    step = max_t([0, 0, 10, 10])
-    assert (step.position, step.t_value) == (2, np.inf)
-    flat = max_t([5, 5, 5, 5])
-    assert (flat.position, flat.t_value) == (2, 0.0)
+    assert max_t([0, 0, 10, 10]) == (2, np.inf)
+    assert max_t([5, 5, 5, 5]) == (2, 0.0)
 
 
 def test_max_t_tie_breaks_to_smallest_position():
     # Positions 2 and 4 give the same t on this symmetric series.
-    candidate = max_t([0, 0, 10, 10, 0, 0])
-    assert candidate.position == 2
-    assert candidate.t_value == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
+    position, t_value = max_t([0, 0, 10, 10, 0, 0])
+    assert position == 2
+    assert t_value == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-12)
 
 
 def test_max_t_matches_t_statistic_oracle():
@@ -55,13 +81,20 @@ def test_max_t_matches_t_statistic_oracle():
     for n in (4, 5, 17, 60):
         x = rng.normal(0.0, 1.0, n) + np.where(np.arange(n) < n // 3, 1.5, 0.0)
         direct = [t_statistic(x, split) for split in range(2, n - 1)]
-        candidate = max_t(x)
-        assert candidate.position == 2 + int(np.argmax(direct))
-        assert candidate.t_value == pytest.approx(max(direct), rel=1e-9)
+        position, t_value = max_t(x)
+        assert position == 2 + int(np.argmax(direct))
+        assert t_value == pytest.approx(max(direct), rel=1e-9)
+        assert _max_t_rows(x[None, :])[0] == pytest.approx(max(direct), rel=1e-9)
 
 
-def test_max_t_short_series_is_none():
-    assert max_t([1.0, 2.0, 3.0]) is None
+def test_range_t_matches_t_statistic_oracle():
+    # The neighbour test takes the kernel's scalar path, degenerate cases included.
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.normal(0.0, 1.0, 30), [2.0] * 6, [7.0] * 6])
+    prefix = _Prefix(x)
+    for lo, mid, hi in ((0, 12, 30), (5, 7, 36), (30, 33, 36), (30, 36, 42), (25, 30, 42)):
+        expected = t_statistic(x[lo:hi], mid - lo)
+        assert prefix.range_t(lo, mid, hi) == pytest.approx(expected, rel=1e-9)
 
 
 def test_significance_bounds_and_monotonicity():
@@ -129,9 +162,7 @@ def test_policy_rejects_unknown_mode():
 
 
 def test_segment_constant_series_has_no_cuts():
-    seg = segment([5.0] * 100, 0.99)
-    assert seg.boundaries == (0, 100)
-    assert seg.segments() == [(0, 100)]
+    assert segment([5.0] * 100, 0.99).boundaries == (0, 100)
 
 
 def test_segment_iid_series_usually_uncut():

@@ -9,10 +9,8 @@ from patchscale.lognormal import jarque_bera
 from patchscale.patches import Patch, classify
 from patchscale.segmentation import segment
 from patchscale.synth import (
-    GroundTruth,
     SynthConfig,
     gen_firm_sizes,
-    gen_packages,
     generate,
     paper_like,
     small_preset,
@@ -60,14 +58,6 @@ def test_generate_is_deterministic():
     assert not _same_tape(table_c, table_a)
 
 
-def test_ground_truth_json_round_trip():
-    _, truth = generate(SMALL)
-    payload = truth.to_json_dict()
-    again = GroundTruth.from_json_dict(payload)
-    assert again.to_json_dict() == payload
-    assert again.packages == truth.packages
-
-
 def test_tape_is_time_sorted_with_positive_values():
     table, _ = generate(SMALL)
     timestamps = table.timestamps
@@ -81,6 +71,11 @@ def _series_by_firm(table):
 
 def test_planted_indices_align_with_series():
     table, truth = generate(SMALL)
+    for pkg in truth.packages:
+        assert pkg.V_m > 0
+        assert pkg.N_m >= 2
+        assert pkg.T >= 1
+        assert pkg.direction in ("buy", "sell")
     series_map = _series_by_firm(table)
     for firm_id, packages in truth.by_firm().items():
         series = series_map[firm_id]
@@ -166,19 +161,6 @@ def test_firm_sizes_follow_zipf_tail():
     assert np.array_equal(sizes, gen_firm_sizes(10_000, 1.0, 53))
     fit = hill(sizes, 1000)
     assert 0.9 <= fit.zeta <= 1.1
-
-
-def test_gen_packages_deterministic_and_valid():
-    plans = gen_packages(50.0, SMALL, 123)
-    assert plans == gen_packages(50.0, SMALL, 123)
-    assert len(plans) >= 1
-    for plan in plans:
-        assert plan.V_m > 0
-        assert plan.N_m >= 2
-        assert plan.T >= 1
-        assert plan.direction in ("buy", "sell")
-    with pytest.raises(ValueError):
-        gen_packages(0.5, SMALL, 123)
 
 
 def test_planted_values_are_lognormal_per_firm():

@@ -92,6 +92,14 @@ def test_table_csv_round_trip(tmp_path):
     assert path.read_bytes() == twice.read_bytes()
 
 
+def test_ids_with_carriage_returns_round_trip(tmp_path):
+    # A lone \r ends a row for csv.reader, so to_csv must quote such an id.
+    table = make_table([(1, "F\r1", "cr\rid", "B", 1.0), (2, "F2", "crlf\r\nid", "S", 2.0)])
+    path = tmp_path / "tape.csv"
+    table.to_csv(path)
+    assert _columns(TradeTable.from_csv(path)) == _columns(table)
+
+
 COLUMNS = ("timestamps", "firm_codes", "stock_codes", "signs", "values")
 
 
