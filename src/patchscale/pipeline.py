@@ -17,6 +17,7 @@ significance null ([seed, 2]) and the bootstrap ([seed, 3]).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 from dataclasses import dataclass, fields, replace
@@ -36,6 +37,10 @@ FAILURE_MARKER = "FAILED.json"
 
 PATCH_CSV_HEADER = tuple(f.name for f in fields(PatchRecord))
 _patch_csv_row = attrgetter(*PATCH_CSV_HEADER)
+# The settings that segment records in segmentations.json and analyze in
+# analysis/stocks.json; a later stage run with other values refuses to run.
+SEGMENT_SETTINGS = ("threshold", "significance_mode", "mc_trials", "theta", "seed")
+ANALYZE_SETTINGS = ("min_patch_trades", "k_policy", "bootstrap_samples", "min_firm_patches", "seed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +170,20 @@ def stock_dir_names(stock_ids: list[str]) -> dict[str, str]:
     return {stock_id: _safe_name(stock_id, taken) for stock_id in sorted(stock_ids)}
 
 
+def _settings(config: RunConfig, names: tuple[str, ...]) -> dict:
+    return {name: getattr(config, name) for name in names}
+
+
+def _check_settings(config: RunConfig, path: Path, recorded: dict, names: tuple[str, ...]) -> None:
+    """DataError unless config agrees with the settings an earlier stage recorded in path."""
+    for name in names:
+        if name in recorded and recorded[name] != getattr(config, name):
+            raise DataError(
+                f"{path} was written with {name} = {recorded[name]!r}, but this run has "
+                f"{name} = {getattr(config, name)!r}; give every stage the same settings"
+            )
+
+
 def _tape_path(config: RunConfig) -> Path:
     if config.tape is not None:
         return Path(config.tape)
@@ -244,8 +263,15 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
     )
     exports = []
     records = []
-    for series in table.iter_series(qualified if len(qualified) < len(table.firms) else None):
-        seg = segmentation.segment(series, config.threshold, policy=policy)
+    counts: dict[str, int] = {}
+    # tee holds the series that segment_many has read ahead, one group at most.
+    series_stream, to_segment = itertools.tee(
+        table.iter_series(qualified if len(qualified) < len(table.firms) else None)
+    )
+    segmented = segmentation.segment_many(
+        to_segment, config.threshold, policy=policy, counts=counts
+    )
+    for series, seg in zip(series_stream, segmented):
         exports.append(
             {
                 "firm_id": series.firm_id,
@@ -260,12 +286,7 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
         )
     _write_json(
         config.out() / "segmentations.json",
-        {
-            "threshold": config.threshold,
-            "significance_mode": config.significance_mode,
-            "mc_trials": config.mc_trials,
-            "series": exports,
-        },
+        {**_settings(config, SEGMENT_SETTINGS), "counts": counts, "series": exports},
     )
     path = config.out() / "patches.csv"
     # csv writes None as an empty field and a float as its repr.
@@ -454,6 +475,10 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
 def run_analyze(config: RunConfig) -> dict[str, dict]:
     """Per-stock scaling statistics written under analysis/<stock>/."""
     rows = read_patch_rows(config.out() / "patches.csv")
+    # patches.csv alone can be analyzed; when segment's record is there, it must agree.
+    segmentations = config.out() / "segmentations.json"
+    if segmentations.is_file():
+        _check_settings(config, segmentations, _read_json(segmentations), SEGMENT_SETTINGS)
     by_stock: dict[str, list[PatchRecord]] = {}
     for row in rows:
         by_stock.setdefault(row.stock_id, []).append(row)
@@ -492,7 +517,10 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
         summary = {key: value for key, value in result.items() if not key.startswith("_")}
         _write_json(stock_out / "summary.json", summary)
         analysis[stock_id] = summary
-    _write_json(config.out() / "analysis" / "stocks.json", names)
+    _write_json(
+        config.out() / "analysis" / "stocks.json",
+        {**_settings(config, ANALYZE_SETTINGS), "stocks": names},
+    )
     return analysis
 
 
@@ -666,11 +694,14 @@ def run_report(config: RunConfig) -> dict:
     """Compose report.json, its CSV tables, and the plot-data files."""
     out = config.out()
     segmentations = _read_json(out / "segmentations.json")
+    _check_settings(config, out / "segmentations.json", segmentations, SEGMENT_SETTINGS)
+    analyzed = _read_json(out / "analysis" / "stocks.json")
+    _check_settings(config, out / "analysis" / "stocks.json", analyzed, ANALYZE_SETTINGS)
+    names = analyzed["stocks"]
     series_per_stock: dict[str, int] = {}
     for entry in segmentations["series"]:
         series_per_stock[entry["stock_id"]] = series_per_stock.get(entry["stock_id"], 0) + 1
 
-    names = _read_json(out / "analysis" / "stocks.json")
     stocks: dict[str, dict] = {}
     for stock_id in sorted(names):
         summary = _read_json(out / "analysis" / names[stock_id] / "summary.json")

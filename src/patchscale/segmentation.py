@@ -6,14 +6,19 @@ newly created segments remain significantly distinct from their existing
 neighbors.  Significance is the probability that an i.i.d. random sequence
 of the same length produces a maximum t no larger than the observed one,
 via either a closed-form approximation or a seeded Monte Carlo null.
+
+Series are segmented in lockstep: every series keeps its own recursion, and
+each step scans the new windows of all series in one batch and scores their
+cuts in one pass.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +34,30 @@ SMALL_N_MC = 20
 # Internal seed for Monte Carlo null tables; fixed so identical inputs give
 # identical segmentations without caller-supplied seeds.
 DEFAULT_MC_SEED = 271828
+# segment_many holds series until their rows would pass this bound (a longer
+# series forms a group alone); the group's prefix sums take 16 bytes a row.
+_GROUP_ROWS = 1 << 18
+# Splits scored per _pooled_t call, so that the kernel's temporaries stay in
+# cache (a run of short windows may pass it by less than _LONG_SPLITS).
+_SCAN_CHUNK = 1 << 14
+# A window with more splits is scanned on its own, as a slice of the prefix
+# sums; shorter ones are scanned together, at a higher cost per split that
+# their shared fixed overhead more than repays.
+_LONG_SPLITS = 1 << 11
+# Up to this many windows are scanned, and (t, n) pairs scored, one at a
+# time, which then costs less than the fixed overhead of a batch.
+_FEW = 4
+# What segment_many tallies: every window scanned either becomes an accepted
+# cut or is rejected by the threshold or by the neighbour test, and its max t
+# is scored by the Monte Carlo null or by the closed form.
+COUNT_KEYS = (
+    "windows_scanned",
+    "cuts_accepted",
+    "rejected_threshold",
+    "rejected_neighbour",
+    "windows_monte_carlo",
+    "windows_closed_form",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,8 +85,8 @@ def _pooled_t(sum_left, sq_left, sum_right, sq_right, n_left, n_right, n):
         1.0 / n_left + 1.0 / n_right
     )
     if np.ndim(denom_sq) == 0:
-        # One split (the neighbour test): errstate and masking would cost
-        # more than the statistic itself.
+        # A few neighbour tests: errstate and masking would cost more than
+        # the statistic itself.
         if denom_sq <= 0.0:
             return float("inf") if diff > 0.0 else 0.0
         return diff / np.sqrt(denom_sq)
@@ -69,41 +98,89 @@ def _pooled_t(sum_left, sq_left, sum_right, sq_right, n_left, n_right, n):
     return t
 
 
-class _Prefix:
-    """Prefix sums of a window's values and squares for O(1) range statistics."""
-
-    __slots__ = ("sums", "sq_sums")
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.sums = np.concatenate(([0.0], np.cumsum(values)))
-        self.sq_sums = np.concatenate(([0.0], np.cumsum(values * values)))
-
-    def range_t(self, lo: int, mid: int, hi: int) -> float:
-        """t between [lo, mid) and [mid, hi)."""
-        sums, sq_sums = self.sums, self.sq_sums
-        return _pooled_t(
-            sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo],
-            sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid],
-            mid - lo, hi - mid, hi - lo,
-        )
-
-    def scan(self, lo: int, hi: int) -> tuple[int, float]:
-        """Position and value of the maximum t over all admissible splits of [lo, hi).
-
-        Ties are broken toward the smallest position.
-        """
-        sums, sq_sums = self.sums, self.sq_sums
-        positions = np.arange(lo + 2, hi - 1)
-        n_left = (positions - lo).astype(np.float64)
-        sum_left = sums[positions] - sums[lo]
-        sq_left = sq_sums[positions] - sq_sums[lo]
+def _scan_long(sums, sq_sums, lo: int, hi: int) -> tuple[int, float]:
+    """Best split of one window, _SCAN_CHUNK positions at a time; ties go to the smallest."""
+    sum_lo, sq_lo = sums[lo], sq_sums[lo]
+    sum_all, sq_all = sums[hi] - sum_lo, sq_sums[hi] - sq_lo
+    best_at, best_t = lo + 2, -1.0
+    for a in range(lo + 2, hi - 1, _SCAN_CHUNK):
+        b = min(a + _SCAN_CHUNK, hi - 1)
+        n_left = np.arange(a - lo, b - lo, dtype=np.float64)
+        sum_left = sums[a:b] - sum_lo
+        sq_left = sq_sums[a:b] - sq_lo
         t = _pooled_t(
-            sum_left, sq_left,
-            (sums[hi] - sums[lo]) - sum_left, (sq_sums[hi] - sq_sums[lo]) - sq_left,
+            sum_left, sq_left, sum_all - sum_left, sq_all - sq_left,
             n_left, hi - lo - n_left, hi - lo,
         )
-        best = int(np.argmax(t))
-        return int(positions[best]), float(t[best])
+        i = int(np.argmax(t))
+        # Strictly greater: an earlier chunk keeps a tie.
+        if t[i] > best_t:
+            best_at, best_t = a + i, float(t[i])
+    return best_at, best_t
+
+
+def _scan_short(sums, sq_sums, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best split of each of many windows: their splits laid end to end, one _pooled_t call."""
+    count = hi - lo - 3
+    first = np.cumsum(count) - count
+    w = np.repeat(np.arange(len(lo)), count)
+    at = np.arange(len(w)) + np.repeat(lo + 2 - first, count)
+    n_left = (at - lo[w]).astype(np.float64)
+    n = (hi - lo).astype(np.float64)[w]
+    sum_lo, sq_lo = sums[lo], sq_sums[lo]
+    sum_left = sums[at] - sum_lo[w]
+    sq_left = sq_sums[at] - sq_lo[w]
+    t = _pooled_t(
+        sum_left, sq_left, (sums[hi] - sum_lo)[w] - sum_left, (sq_sums[hi] - sq_lo)[w] - sq_left,
+        n_left, n - n_left, n,
+    )
+    top = np.maximum.reduceat(t, first)
+    # The first maximum of each window: ties go to the smallest position.
+    hits = np.flatnonzero(t == np.repeat(top, count))
+    return at[hits[np.searchsorted(hits, first)]], top
+
+
+def _scan(sums, sq_sums, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position and value of the maximum t over all admissible splits of each window.
+
+    lo and hi are int64 arrays of windows [lo, hi) of the flat prefix sums,
+    each at least 4 rows long.  A window of more than _LONG_SPLITS splits,
+    or any of at most _FEW windows, is scanned on its own, which needs no
+    per-split window values; the others are scanned together in runs of
+    about _SCAN_CHUNK splits.
+    """
+    cut = np.empty(len(lo), dtype=np.int64)
+    t = np.empty(len(lo))
+    count = hi - lo - 3
+    alone = count > (_LONG_SPLITS if len(lo) > _FEW else -1)
+    for i in np.flatnonzero(alone).tolist():
+        cut[i], t[i] = _scan_long(sums, sq_sums, int(lo[i]), int(hi[i]))
+    short = np.flatnonzero(~alone)
+    if len(short):
+        run = (np.cumsum(count[short]) - count[short]) // _SCAN_CHUNK
+        for part in np.split(short, np.flatnonzero(np.diff(run)) + 1):
+            cut[part], t[part] = _scan_short(sums, sq_sums, lo[part], hi[part])
+    return cut, t
+
+
+@functools.cache
+def _betainc():
+    # Imported on first use, once per process, so that only processes that
+    # score cuts in closed form load scipy.
+    from scipy.special import betainc
+
+    return betainc
+
+
+@functools.cache
+def _eta(n: int):
+    return 4.19 * np.log(n) - 11.54
+
+
+def _power(i_value: float, eta) -> float:
+    # Always a scalar power: a vectorized np.power can differ in the last bit.
+    p = (1.0 - i_value) ** eta
+    return float(min(max(p, 0.0), 1.0))
 
 
 def significance(t_max: float, n: int) -> float:
@@ -114,22 +191,31 @@ def significance(t_max: float, n: int) -> float:
     For n below ~16, eta is non-positive and the value saturates at 1;
     prefer the Monte Carlo null for such short windows.
     """
-    # Imported here so that only processes that score cuts load scipy.
-    from scipy.special import betainc
-
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     nu = n - 2
-    eta = 4.19 * np.log(n) - 11.54
+    eta = _eta(n)
     if eta <= 0.0:
         return 1.0
     if np.isinf(t_max):
         return 1.0
     x = nu / (nu + t_max * t_max)
-    p = (1.0 - float(betainc(DELTA * nu, DELTA, x))) ** eta
-    return float(min(max(p, 0.0), 1.0))
+    return _power(float(_betainc()(DELTA * nu, DELTA, x)), eta)
+
+
+def _significance_closed_form(t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """significance(t, n) for each pair, with one betainc call over the pairs."""
+    p = np.ones(len(t))
+    etas = [_eta(k) for k in n.tolist()]
+    live = np.flatnonzero(np.isfinite(t) & (np.array(etas) > 0.0))
+    if len(live):
+        nu = n[live] - 2.0
+        t_live = t[live]
+        i_values = _betainc()(DELTA * nu, DELTA, nu / (nu + t_live * t_live))
+        p[live] = [_power(i, etas[k]) for i, k in zip(i_values.tolist(), live.tolist())]
+    return p
 
 
 def _max_t_rows(rows: np.ndarray) -> np.ndarray:
@@ -183,6 +269,17 @@ def significance_mc(
     return float(np.searchsorted(table, t_max, side="right")) / trials
 
 
+def _significance_null(t: np.ndarray, n: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """significance_mc(t, n, trials, seed) for each pair, one lookup per distinct n."""
+    p = np.ones(len(t))
+    finite = np.flatnonzero(t != np.inf)
+    sizes = n[finite]
+    for size in np.unique(sizes).tolist():
+        at = finite[sizes == size]
+        p[at] = np.searchsorted(_null_table(size, trials, seed), t[at], side="right") / trials
+    return p
+
+
 @dataclass(frozen=True, slots=True)
 class SignificancePolicy:
     """How (t, n) pairs are converted to significance during segmentation.
@@ -201,10 +298,216 @@ class SignificancePolicy:
         if self.mode not in ("closed-form", "monte-carlo"):
             raise ValueError(f"unknown significance mode {self.mode!r}")
 
+    def uses_null(self, n: np.ndarray) -> np.ndarray:
+        """Which window lengths are scored by the Monte Carlo null."""
+        if self.mode == "monte-carlo":
+            return np.ones(len(n), dtype=bool)
+        return n < self.small_n_mc
+
     def significance(self, t_value: float, n: int) -> float:
         if self.mode == "monte-carlo" or n < self.small_n_mc:
             return significance_mc(t_value, n, self.mc_trials, self.seed)
         return significance(t_value, n)
+
+    def significance_many(self, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """significance(t[i], n[i]) for two aligned arrays, n int64 and all >= 4.
+
+        Equal element for element; up to _FEW pairs take the scalar path,
+        which is then the cheaper one.
+        """
+        if len(t) <= _FEW:
+            return np.array([self.significance(*pair) for pair in zip(t.tolist(), n.tolist())])
+        p = np.empty(len(t))
+        null = self.uses_null(n)
+        if null.any():
+            p[null] = _significance_null(t[null], n[null], self.mc_trials, self.seed)
+        if not null.all():
+            p[~null] = _significance_closed_form(t[~null], n[~null])
+        return p
+
+
+def _name(item, index: int) -> str:
+    if isinstance(item, SignedSeries):
+        return f"firm {item.firm_id!r}, stock {item.stock_id!r}"
+    return f"series {index}"
+
+
+def segment_many(
+    series: Iterable[SignedSeries | Sequence[float]],
+    threshold: float = DEFAULT_THRESHOLD,
+    *,
+    policy: SignificancePolicy | None = None,
+    counts: dict[str, int] | None = None,
+) -> Iterator[Segmentation]:
+    """Recursively partition each series of a stream into homogeneous segments.
+
+    Yields one Segmentation per series, in input order.  Each window's best
+    cut is accepted when its significance reaches the threshold and both new
+    segments also differ significantly from their adjacent existing segments
+    (evaluated at the combined length of the two segments compared; absent
+    neighbors skip that side).  Windows shorter than 4 points are terminal.
+    Each series recurses depth-first, left first, which fixes its boundary
+    set deterministically and independently of the other series.
+
+    Series are read in groups of up to _GROUP_ROWS rows and segmented in
+    lockstep.  A non-finite value raises ValueError naming the series and
+    index.  When counts is given, the COUNT_KEYS tallies are added to it.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if policy is None:
+        policy = SignificancePolicy()
+    if counts is not None:
+        for key in COUNT_KEYS:
+            counts.setdefault(key, 0)
+    return _segment_stream(series, threshold, policy, counts)
+
+
+def _segment_stream(series, threshold, policy, counts) -> Iterator[Segmentation]:
+    group: list[tuple[np.ndarray, str]] = []
+    rows = 0
+    for index, item in enumerate(series):
+        values = item.signed_values if isinstance(item, SignedSeries) else item
+        x = np.asarray(values, dtype=np.float64)
+        if group and rows + len(x) > _GROUP_ROWS:
+            yield from _segment_group(group, threshold, policy, counts)
+            group, rows = [], 0
+        group.append((x, _name(item, index)))
+        rows += len(x)
+    if group:
+        yield from _segment_group(group, threshold, policy, counts)
+
+
+def _prefix_sums(group: list[tuple[np.ndarray, str]]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Each series' offset into one flat pair of prefix-sum arrays, and the arrays.
+
+    Series k takes n_k + 1 slots from its offset: a leading zero, then the
+    running sums of its values and of their squares.  t is scale-invariant
+    and scaling by a power of two is exact, so each series is first brought
+    to max|x| in [0.5, 1), where the squares cannot overflow, then centred.
+    """
+    base = [0]
+    for x, _ in group:
+        base.append(base[-1] + len(x) + 1)
+    sums = np.empty(base[-1])
+    sq_sums = np.empty(base[-1])
+    scratch = np.empty(max(len(x) for x, _ in group))
+    for (x, name), offset in zip(group, base):
+        n = len(x)
+        sums[offset] = sq_sums[offset] = 0.0
+        if n == 0:
+            continue
+        peak = float(np.abs(x).max())
+        if not math.isfinite(peak):
+            bad = int(np.flatnonzero(~np.isfinite(x))[0])
+            raise ValueError(f"{name}: value at index {bad} is not finite ({x[bad]!r})")
+        centred = scratch[:n]
+        if peak > 0.0:
+            np.ldexp(x, -np.frexp(peak)[1], out=centred)
+        else:
+            centred[:] = x
+        centred -= centred.mean()
+        np.cumsum(centred, out=sums[offset + 1 : offset + 1 + n])
+        np.multiply(centred, centred, out=centred)
+        np.cumsum(centred, out=sq_sums[offset + 1 : offset + 1 + n])
+    return base[:-1], sums, sq_sums
+
+
+def _segment_group(group, threshold, policy, counts) -> list[Segmentation]:
+    """The group's segmentations; its prefix sums are freed when this returns.
+
+    Windows, cuts and boundaries are kept as indices into the flat prefix
+    sums, so series k's row i is base[k] + i.
+    """
+    base, sums, sq_sums = _prefix_sums(group)
+    boundaries = [[b, b + len(x)] for b, (x, _) in zip(base, group)]
+    # Per series, the windows still to be popped: (lo, hi, best cut), each
+    # already scanned and over the threshold.  A window under the threshold
+    # or shorter than 4 rows would be popped without effect, so it is never
+    # pushed, and each series' pops keep the order of the one-at-a-time
+    # recursion.
+    stacks: list[list[tuple[int, int, int]]] = [[] for _ in group]
+    tally = dict.fromkeys(COUNT_KEYS, 0)
+    fresh = [(k, lo, hi) for k, (lo, hi) in enumerate(boundaries) if hi - lo >= 4]
+    live = [k for k, _, _ in fresh]
+    while True:
+        if fresh:
+            windows = np.array([window[1:] for window in fresh], dtype=np.int64)
+            lo, hi = windows[:, 0], windows[:, 1]
+            cuts, t = _scan(sums, sq_sums, lo, hi)
+            passed = policy.significance_many(t, hi - lo) >= threshold
+            tally["windows_scanned"] += len(fresh)
+            tally["windows_monte_carlo"] += int(policy.uses_null(hi - lo).sum())
+            tally["rejected_threshold"] += len(fresh) - int(passed.sum())
+            for (k, lo_k, hi_k), cut, ok in zip(fresh, cuts.tolist(), passed.tolist()):
+                if ok:
+                    stacks[k].append((lo_k, hi_k, cut))
+        live = [k for k in live if stacks[k]]
+        if not live:
+            break
+        popped = [(k, *stacks[k].pop()) for k in live]
+        accepted = _neighbours_pass(popped, boundaries, sums, sq_sums, threshold, policy)
+        tally["cuts_accepted"] += sum(accepted)
+        tally["rejected_neighbour"] += len(popped) - sum(accepted)
+        fresh = []
+        for (k, lo_k, hi_k, cut), ok in zip(popped, accepted):
+            if ok:
+                insort(boundaries[k], cut)
+                # Right child first, so the left one is popped first.
+                if hi_k - cut >= 4:
+                    fresh.append((k, cut, hi_k))
+                if cut - lo_k >= 4:
+                    fresh.append((k, lo_k, cut))
+    tally["windows_closed_form"] = tally["windows_scanned"] - tally["windows_monte_carlo"]
+    if counts is not None:
+        for key, value in tally.items():
+            counts[key] += value
+    return [
+        Segmentation(boundaries=tuple(b - bounds[0] for b in bounds)) for bounds in boundaries
+    ]
+
+
+def _neighbours_pass(popped, boundaries, sums, sq_sums, threshold, policy) -> list[bool]:
+    """Whether each popped cut's new segments differ significantly from their neighbours.
+
+    The left test comes first; the right one is made only where the left
+    one passed or was skipped.
+    """
+    left, right = [], []
+    for slot, (k, lo, hi, cut) in enumerate(popped):
+        bounds = boundaries[k]
+        at = bisect_right(bounds, lo) - 1
+        if at > 0:
+            prev = bounds[at - 1]
+            if lo - prev >= 2 and cut - lo >= 2:
+                left.append((slot, prev, lo, cut))
+        at = bisect_right(bounds, hi) - 1
+        if at < len(bounds) - 1:
+            nxt = bounds[at + 1]
+            if nxt - hi >= 2 and hi - cut >= 2:
+                right.append((slot, cut, hi, nxt))
+    accepted = [True] * len(popped)
+    if len(left) + len(right) <= _FEW:
+        for slot, lo, mid, hi in left + right:
+            if accepted[slot]:
+                t = _pooled_t(
+                    sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo],
+                    sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid],
+                    mid - lo, hi - mid, hi - lo,
+                )
+                accepted[slot] = policy.significance(t, hi - lo) >= threshold
+        return accepted
+    for tests in (left, right):
+        tests = [test for test in tests if accepted[test[0]]]
+        if not tests:
+            continue
+        slot, lo, mid, hi = np.array(tests, dtype=np.int64).T
+        sum_left, sq_left = sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo]
+        sum_right, sq_right = sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid]
+        t = _pooled_t(sum_left, sq_left, sum_right, sq_right, mid - lo, hi - mid, hi - lo)
+        for rejected in slot[policy.significance_many(t, hi - lo) < threshold].tolist():
+            accepted[rejected] = False
+    return accepted
 
 
 def segment(
@@ -213,55 +516,5 @@ def segment(
     *,
     policy: SignificancePolicy | None = None,
 ) -> Segmentation:
-    """Recursively partition a series into homogeneous segments.
-
-    Each window's best cut is accepted when its significance reaches the
-    threshold and both new segments also differ significantly from their
-    adjacent existing segments (evaluated at the combined length of the two
-    segments compared; absent neighbors skip that side).  Windows shorter
-    than 4 points are terminal.  Recursion proceeds depth-first, left first,
-    which fixes the boundary set deterministically.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if policy is None:
-        policy = SignificancePolicy()
-    values = series.signed_values if isinstance(series, SignedSeries) else series
-    x = np.asarray(values, dtype=np.float64)
-    n = len(x)
-    if n < 4:
-        return Segmentation(boundaries=(0, n))
-
-    # t is scale-invariant and scaling by a power of two is exact, so bring
-    # max|x| into [0.5, 1): the squares in the prefix sums then cannot overflow.
-    peak = float(np.abs(x).max())
-    if peak > 0.0:
-        x = np.ldexp(x, -np.frexp(peak)[1])
-    prefix = _Prefix(x - x.mean())
-    boundaries = [0, n]
-    stack = [(0, n)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 4:
-            continue
-        position, t_value = prefix.scan(lo, hi)
-        if policy.significance(t_value, hi - lo) < threshold:
-            continue
-        left_at = bisect_right(boundaries, lo) - 1
-        if left_at > 0:
-            prev = boundaries[left_at - 1]
-            if lo - prev >= 2 and position - lo >= 2:
-                t_neighbor = prefix.range_t(prev, lo, position)
-                if policy.significance(t_neighbor, position - prev) < threshold:
-                    continue
-        right_at = bisect_right(boundaries, hi) - 1
-        if right_at < len(boundaries) - 1:
-            nxt = boundaries[right_at + 1]
-            if nxt - hi >= 2 and hi - position >= 2:
-                t_neighbor = prefix.range_t(position, hi, nxt)
-                if policy.significance(t_neighbor, nxt - position) < threshold:
-                    continue
-        insort(boundaries, position)
-        stack.append((position, hi))
-        stack.append((lo, position))
-    return Segmentation(boundaries=tuple(boundaries))
+    """Recursively partition one series into homogeneous segments (see segment_many)."""
+    return next(segment_many([series], threshold, policy=policy))

@@ -389,21 +389,20 @@ class TradeTable:
         )
         starts = np.concatenate(([0], pair_change + 1))
         ends = np.concatenate((pair_change + 1, [len(self)]))
-        signed = self.values * self.signs
-        pairs = sorted(
-            range(len(starts)),
-            key=lambda i: (self.firms[firm_sorted[starts[i]]], self.stocks[stock_sorted[starts[i]]]),
-        )
-        for i in pairs:
-            idx = order[starts[i] : ends[i]]
-            firm_id = self.firms[firm_sorted[starts[i]]]
-            if firm_ids is not None and firm_id not in firm_ids:
+        firms = [self.firms[code] for code in firm_sorted[starts].tolist()]
+        stocks = [self.stocks[code] for code in stock_sorted[starts].tolist()]
+        # Only the order stays alive while the series are consumed; each
+        # series takes its own slice of the columns.
+        del firm_sorted, stock_sorted
+        for i in sorted(range(len(starts)), key=lambda i: (firms[i], stocks[i])):
+            if firm_ids is not None and firms[i] not in firm_ids:
                 continue
+            idx = order[starts[i] : ends[i]]
             yield SignedSeries(
-                firm_id=firm_id,
-                stock_id=self.stocks[stock_sorted[starts[i]]],
+                firm_id=firms[i],
+                stock_id=stocks[i],
                 timestamps=_frozen(self.timestamps[idx]),
-                signed_values=_frozen(signed[idx]),
+                signed_values=_frozen(self.values[idx] * self.signs[idx]),
             )
 
     def activity(self) -> dict[str, FirmActivity]:

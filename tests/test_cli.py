@@ -169,6 +169,25 @@ def test_every_stage_takes_the_flags_of_all(tmp_path):
     _assert_staged_tree_matches_all(tmp_path, flags)
 
 
+def test_later_stage_refuses_settings_that_contradict_an_earlier_one(tmp_path, capsys):
+    out = ["--output-dir", str(tmp_path / "out")]
+    for command in ("synth", "ingest", "segment"):
+        assert main([command, "--preset", "small", *out]) == EXIT_OK, command
+    analyze = ["analyze", "--preset", "small", "--min-patch-trades", "40", "--bootstrap-samples", "400"]
+    assert main([*analyze, *out]) == EXIT_OK
+    stocks = json.loads((tmp_path / "out" / "analysis" / "stocks.json").read_text())
+    assert (stocks["min_patch_trades"], stocks["bootstrap_samples"]) == (40, 400)
+    capsys.readouterr()
+    # report with the defaults would describe 40-trade patches as 10-trade ones.
+    assert main(["report", "--preset", "small", *out]) == EXIT_DATA
+    assert "min_patch_trades = 40, but this run has min_patch_trades = 10" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    # analyze, too, refuses to contradict what segment used.
+    assert main([*analyze, "--theta", "0.8", *out]) == EXIT_DATA
+    assert "theta = 0.75, but this run has theta = 0.8" in capsys.readouterr().err
+    assert main(["report", "--preset", "small", "--min-patch-trades", "40", "--bootstrap-samples", "400", *out]) == EXIT_OK
+
+
 def test_all_reruns_from_existing_tape(tmp_path):
     path = _write_synth_json(tmp_path)
     out = str(tmp_path / "out")

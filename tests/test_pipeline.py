@@ -119,6 +119,31 @@ def test_patch_rows_tile_each_series(small_run):
         assert spans == list(zip(bounds, bounds[1:]))
 
 
+def test_segmentation_counts_agree_with_boundaries(small_run):
+    config, _ = small_run
+    segments = json.loads((config.out() / "segmentations.json").read_text())
+    counts = segments["counts"]
+    bounds = [entry["boundaries"] for entry in segments["series"]]
+    assert counts["cuts_accepted"] == sum(len(b) - 2 for b in bounds) > 0
+    # A window is scanned once per accepted cut and once per final segment
+    # of at least 4 rows, as perfbench/score.py derives it.
+    final = sum(1 for b in bounds for lo, hi in zip(b, b[1:]) if hi - lo >= 4)
+    assert counts["windows_scanned"] == counts["cuts_accepted"] + final
+    rejected = counts["rejected_threshold"] + counts["rejected_neighbour"]
+    assert counts["cuts_accepted"] + rejected == counts["windows_scanned"]
+    routed = counts["windows_monte_carlo"] + counts["windows_closed_form"]
+    assert routed == counts["windows_scanned"]
+    assert counts["windows_monte_carlo"] > 0 and counts["rejected_neighbour"] > 0
+    recorded = {key: segments[key] for key in ("threshold", "significance_mode", "mc_trials", "theta", "seed")}
+    assert recorded == {
+        "threshold": config.threshold,
+        "significance_mode": config.significance_mode,
+        "mc_trials": config.mc_trials,
+        "theta": config.theta,
+        "seed": config.seed,
+    }
+
+
 def test_directional_rows_have_full_variables(small_run):
     config, _ = small_run
     for row in read_patch_rows(config.out() / "patches.csv"):

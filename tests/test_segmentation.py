@@ -1,17 +1,23 @@
 """Maximum-t statistics, significance gating, and recursive segmentation."""
 
 import warnings
+from bisect import bisect_right, insort
 
 import numpy as np
 import pytest
 
+from conftest import make_series
+from patchscale import segmentation
 from patchscale.segmentation import (
     DEFAULT_MC_SEED,
     SMALL_N_MC,
     SignificancePolicy,
     _max_t_rows,
-    _Prefix,
+    _pooled_t,
+    _scan,
+    _significance_closed_form,
     segment,
+    segment_many,
     significance,
     significance_mc,
 )
@@ -39,10 +45,93 @@ def t_statistic(values, split):
     return diff / float(np.sqrt(denom_sq))
 
 
+class Prefix:
+    """Prefix sums of a window's values and squares, and the one-window scan.
+
+    The per-window form the lockstep scan replaced, kept as its oracle.
+    """
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        self.sums = np.concatenate(([0.0], np.cumsum(values)))
+        self.sq_sums = np.concatenate(([0.0], np.cumsum(values * values)))
+
+    def range_t(self, lo, mid, hi):
+        """t between [lo, mid) and [mid, hi), on the kernel's scalar path."""
+        sums, sq_sums = self.sums, self.sq_sums
+        return _pooled_t(
+            sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo],
+            sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid],
+            mid - lo, hi - mid, hi - lo,
+        )
+
+    def scan(self, lo, hi):
+        """Position and value of the maximum t over all splits of [lo, hi); ties to the smallest."""
+        sums, sq_sums = self.sums, self.sq_sums
+        positions = np.arange(lo + 2, hi - 1)
+        n_left = (positions - lo).astype(np.float64)
+        sum_left = sums[positions] - sums[lo]
+        sq_left = sq_sums[positions] - sq_sums[lo]
+        t = _pooled_t(
+            sum_left, sq_left,
+            (sums[hi] - sums[lo]) - sum_left, (sq_sums[hi] - sq_sums[lo]) - sq_left,
+            n_left, hi - lo - n_left, hi - lo,
+        )
+        best = int(np.argmax(t))
+        return int(positions[best]), float(t[best])
+
+
+def oracle_segment(values, threshold=0.99, policy=None):
+    """The one-series recursion that segment_many runs in lockstep, kept as its oracle."""
+    policy = policy or SignificancePolicy()
+    x = np.asarray(values, dtype=np.float64)
+    n = len(x)
+    if n < 4:
+        return (0, n)
+    peak = float(np.abs(x).max())
+    if peak > 0.0:
+        x = np.ldexp(x, -np.frexp(peak)[1])
+    prefix = Prefix(x - x.mean())
+    boundaries = [0, n]
+    stack = [(0, n)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 4:
+            continue
+        position, t_value = prefix.scan(lo, hi)
+        if policy.significance(t_value, hi - lo) < threshold:
+            continue
+        left_at = bisect_right(boundaries, lo) - 1
+        if left_at > 0:
+            prev = boundaries[left_at - 1]
+            if lo - prev >= 2 and position - lo >= 2:
+                t_neighbor = prefix.range_t(prev, lo, position)
+                if policy.significance(t_neighbor, position - prev) < threshold:
+                    continue
+        right_at = bisect_right(boundaries, hi) - 1
+        if right_at < len(boundaries) - 1:
+            nxt = boundaries[right_at + 1]
+            if nxt - hi >= 2 and hi - position >= 2:
+                t_neighbor = prefix.range_t(position, hi, nxt)
+                if policy.significance(t_neighbor, nxt - position) < threshold:
+                    continue
+        insort(boundaries, position)
+        stack.append((position, hi))
+        stack.append((lo, position))
+    return tuple(boundaries)
+
+
+def batched_scan(values, windows):
+    """_scan over the given (lo, hi) windows of one sequence's unscaled prefix sums."""
+    prefix = Prefix(values)
+    lo, hi = (np.array(column, dtype=np.int64) for column in zip(*windows))
+    cuts, t = _scan(prefix.sums, prefix.sq_sums, lo, hi)
+    return list(zip(cuts.tolist(), t.tolist()))
+
+
 def max_t(values):
     """(position, t) of the best split of the whole sequence."""
-    x = np.asarray(values, dtype=np.float64)
-    return _Prefix(x).scan(0, len(x))
+    return batched_scan(values, [(0, len(values))])[0]
 
 
 def test_t_statistic_hand_oracle():
@@ -87,14 +176,24 @@ def test_max_t_matches_t_statistic_oracle():
         assert _max_t_rows(x[None, :])[0] == pytest.approx(max(direct), rel=1e-9)
 
 
-def test_range_t_matches_t_statistic_oracle():
-    # The neighbour test takes the kernel's scalar path, degenerate cases included.
+def test_neighbour_t_matches_t_statistic_oracle():
+    # The neighbour test takes the kernel's scalar path for a few tests and
+    # its array path for many, degenerate cases included.
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.normal(0.0, 1.0, 30), [2.0] * 6, [7.0] * 6])
-    prefix = _Prefix(x)
-    for lo, mid, hi in ((0, 12, 30), (5, 7, 36), (30, 33, 36), (30, 36, 42), (25, 30, 42)):
+    prefix = Prefix(x)
+    triples = ((0, 12, 30), (5, 7, 36), (30, 33, 36), (30, 36, 42), (25, 30, 42))
+    lo, mid, hi = (np.array(column) for column in zip(*triples))
+    sums, sq_sums = prefix.sums, prefix.sq_sums
+    many = _pooled_t(
+        sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo],
+        sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid],
+        mid - lo, hi - mid, hi - lo,
+    )
+    for (lo, mid, hi), t_many in zip(triples, many):
         expected = t_statistic(x[lo:hi], mid - lo)
         assert prefix.range_t(lo, mid, hi) == pytest.approx(expected, rel=1e-9)
+        assert t_many == prefix.range_t(lo, mid, hi)
 
 
 def test_significance_bounds_and_monotonicity():
@@ -244,3 +343,116 @@ def test_segment_huge_values_do_not_overflow():
         # The step is found; the extra cuts at 2 and 32 inside the constant
         # stretches come from prefix-sum rounding (no variance floor yet).
         assert 30 in segment(step).boundaries
+
+
+def _mixed_batch(rng, size, longest=3000):
+    """Series of lengths 0-3, 4-19 and 20-longest: noise, level shifts, ties,
+    flat runs, a clean step, and values scaled by 2**-900 or 2**900."""
+    batch = []
+    for i in range(size):
+        kind = i % 6
+        n = int([rng.integers(0, 4), rng.integers(4, 20), rng.integers(20, longest + 1)][rng.integers(3)])
+        if kind == 0:
+            x = rng.normal(size=n)
+        elif kind == 1:
+            x = np.repeat(rng.normal(0.0, 3.0, n // 40 + 1), 40)[:n] + rng.normal(size=n)
+        elif kind == 2:
+            # Few distinct values, so many tied sums.
+            x = rng.integers(-2, 3, size=n) + np.repeat(rng.integers(-3, 4, n // 30 + 1), 30)[:n]
+            x = x.astype(np.float64)
+        elif kind == 3:
+            x = np.where(np.arange(n) < n // 2, 0.0, 10.0)  # flat runs, one clean step
+        elif kind == 4:
+            x = np.repeat(rng.choice([-1.0, 1.0], n // 25 + 1), 25)[:n] * 5.0 + rng.normal(size=n)
+            x = np.ldexp(x, int(rng.choice([-900, 900])))
+        else:
+            x = np.round(rng.lognormal(size=n), 1) * rng.choice([-1.0, 1.0], size=n)
+        batch.append(x)
+    return batch
+
+
+@pytest.mark.parametrize("threshold", [0.95, 0.99])
+def test_segment_many_matches_oracle_closed_form(threshold):
+    rng = np.random.default_rng(20)
+    policy = SignificancePolicy(mc_trials=500)
+    for _ in range(4):
+        batch = _mixed_batch(rng, 30)
+        got = [seg.boundaries for seg in segment_many(batch, threshold, policy=policy)]
+        assert got == [oracle_segment(x, threshold, policy) for x in batch]
+
+
+@pytest.mark.parametrize("threshold", [0.95, 0.99])
+def test_segment_many_matches_oracle_monte_carlo(threshold):
+    # Every distinct window length builds a null table, so these series are shorter.
+    rng = np.random.default_rng(21)
+    policy = SignificancePolicy(mode="monte-carlo", mc_trials=200)
+    batch = _mixed_batch(rng, 24, longest=300)
+    got = [seg.boundaries for seg in segment_many(batch, threshold, policy=policy)]
+    assert got == [oracle_segment(x, threshold, policy) for x in batch]
+
+
+def test_segment_many_is_independent_of_its_group(monkeypatch):
+    # A series' boundaries do not depend on which series share its group,
+    # on their order, or on the group bound.
+    rng = np.random.default_rng(22)
+    batch = _mixed_batch(rng, 18, longest=600)
+    alone = [segment(x).boundaries for x in batch]
+    for bound in (300, 1000, 1 << 18):
+        monkeypatch.setattr(segmentation, "_GROUP_ROWS", bound)
+        for _ in range(3):
+            order = rng.permutation(len(batch))
+            got = [seg.boundaries for seg in segment_many([batch[i] for i in order])]
+            assert got == [alone[i] for i in order]
+
+
+def test_batched_scan_equals_oracle_scan(monkeypatch):
+    # Small chunk bounds exercise long windows scanned in several chunks and
+    # short windows split into several runs.
+    monkeypatch.setattr(segmentation, "_SCAN_CHUNK", 64)
+    monkeypatch.setattr(segmentation, "_LONG_SPLITS", 40)
+    rng = np.random.default_rng(23)
+    x = np.round(rng.normal(size=3000), 1)
+    # Planted ties: a symmetric stretch gives equal t at mirrored splits, and
+    # a long flat stretch gives t = 0 at every split inside it.
+    x[100:106] = [0.0, 0.0, 10.0, 10.0, 0.0, 0.0]
+    x[200:400] = 1.0
+    oracle = Prefix(x)
+    windows = [(100, 106), (200, 400), (0, 3000), (150, 154), (0, 130)]
+    for _ in range(200):
+        lo = int(rng.integers(0, 2996))
+        windows.append((lo, int(rng.integers(lo + 4, min(3000, lo + 300) + 1))))
+    assert batched_scan(x, windows) == [oracle.scan(lo, hi) for lo, hi in windows]
+    assert batched_scan(x, [(100, 106)]) == [(102, oracle.scan(100, 106)[1])]
+
+
+def test_significance_many_equals_scalar_paths():
+    t_values = [0.0, 1e-3, 0.7, 2.0, 3.3, 4.5, 8.0, 40.0, np.inf]
+    n_values = [4, 5, 7, 11, 15, 16, 19, 20, 21, 33, 64, 100, 257, 999, 1000, 2500, 4999, 5000]
+    t, n = (np.array(column) for column in zip(*[(a, b) for a in t_values for b in n_values]))
+    # eta <= 0 below n = 16: the closed form saturates at 1.
+    assert _significance_closed_form(t, n).tolist() == [significance(a, b) for a, b in zip(t, n)]
+    assert _significance_closed_form(np.array([0.0] * 5), np.arange(4, 9)).tolist() == [1.0] * 5
+    for policy in (SignificancePolicy(mc_trials=300), SignificancePolicy("monte-carlo", 300)):
+        short = n < 200  # keeps the Monte Carlo tables small
+        many = policy.significance_many(t[short], n[short])
+        assert many.tolist() == [policy.significance(a, b) for a, b in zip(t[short], n[short])]
+        null = [significance_mc(a, b, 300, DEFAULT_MC_SEED) for a, b in zip(t[short], n[short])]
+        routed = policy.uses_null(n[short])
+        assert many[routed].tolist() == [p for p, r in zip(null, routed) if r]
+    # t equal to entries of the null table itself: a tie counts as covered.
+    table = segmentation._null_table(11, 300, DEFAULT_MC_SEED)
+    t_tied = table[[0, 1, 150, 299, 299, 42]]
+    many = SignificancePolicy(mc_trials=300).significance_many(t_tied, np.full(6, 11))
+    assert many.tolist() == [significance_mc(a, 11, 300, DEFAULT_MC_SEED) for a in t_tied]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_segment_rejects_non_finite_values(bad):
+    x = np.repeat([0.0, 5.0], 20)
+    x[17] = bad
+    with pytest.raises(ValueError, match=r"series 0: value at index 17 is not finite"):
+        segment(x)
+    with pytest.raises(ValueError, match=r"series 1: value at index 17 is not finite"):
+        list(segment_many([np.ones(10), x]))
+    with pytest.raises(ValueError, match=r"firm 'F9', stock 'S3': value at index 2 is not finite"):
+        segment(make_series([1.0, 2.0, bad], firm_id="F9", stock_id="S3"))
