@@ -17,10 +17,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError
-from .patches import VARIABLES, PatchRecord, variables
+from .patches import DEFAULT_MIN_FIRM_PATCHES, VARIABLES, PatchRecord, variables
 
 DEFAULT_BOOTSTRAP_SAMPLES = 1000
-DEFAULT_MIN_FIRM_PATCHES = 10
 _EIGENVALUE_TIE_RTOL = 1e-12
 _MAX_ESTIMATOR_FAILURES = 0.01
 _BOOTSTRAP_CHUNK_CELLS = 5_000_000

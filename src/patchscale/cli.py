@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import pipeline
 from .errors import DataError, NumericalError
-from .synth import SynthConfig, paper_like, small_preset
+from .synth import paper_like, small_preset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,7 +38,6 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="top-level seed; stage seeds derive from it")
     parser.add_argument("--tape", help="trade-CSV input path")
     parser.add_argument("--preset", choices=sorted(_PRESETS), help="built-in generator preset")
-    parser.add_argument("--synth-config", metavar="JSON", help="generator settings JSON file")
     parser.add_argument("--min-trades-per-year", type=int, help="activity filter: trades per year")
     parser.add_argument("--min-active-days", type=int, help="activity filter: active days per year")
     parser.add_argument(
@@ -90,54 +89,30 @@ def _load_json_file(path: str) -> dict:
     return payload
 
 
-def _resolve_synth(args: argparse.Namespace, overlay: dict) -> SynthConfig | None:
-    preset = args.preset
-    synth_path = args.synth_config
-    if preset and synth_path:
-        raise UsageError("give either --preset or --synth-config, not both")
-    if preset:
-        return _PRESETS[preset]()
-    if synth_path:
-        payload = _load_json_file(synth_path)
-        try:
-            return SynthConfig(**payload)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad generator settings: {exc}") from None
-    synth_payload = overlay.get("synth")
-    if synth_payload is not None:
-        try:
-            return SynthConfig(**synth_payload)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad generator settings: {exc}") from None
-    return None
-
-
 def make_run_config(args: argparse.Namespace) -> pipeline.RunConfig:
     """Merge defaults, the optional config file, and explicit flags."""
-    overlay = _load_json_file(args.config) if args.config else {}
-
-    settings: dict = {key: value for key, value in overlay.items() if key != "synth"}
+    settings = _load_json_file(args.config) if args.config else {}
     # Each flag's destination is the RunConfig field it sets (--output-dir too).
     for field in fields(pipeline.RunConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             settings[field.name] = value
+    if args.preset:
+        settings["synth"] = _PRESETS[args.preset]()
 
-    synth_config = _resolve_synth(args, overlay)
-    if synth_config is not None and settings.get("tape"):
-        raise UsageError("give either a tape or generator settings, not both")
-    if synth_config is not None:
+    if settings.get("synth") is not None:
+        if settings.get("tape"):
+            raise UsageError("give either a tape or generator settings, not both")
         settings.pop("tape", None)
-        settings["synth"] = synth_config
         # Synthetic tapes cover short spans; activity filters are opt-in there.
         settings.setdefault("min_trades_per_year", 0)
         settings.setdefault("min_active_days", 0)
     elif args.command == "synth":
-        raise UsageError("synth needs --preset, --synth-config, or config-file settings")
+        raise UsageError("synth needs --preset or generator settings under synth in --config")
     elif args.command == "all" and "tape" not in settings:
         # Without any source, `all` can still rerun on a tape generated here.
         if not (Path(args.output_dir) / "tape.csv").is_file():
-            raise UsageError("no input: give --tape, --preset, or --synth-config")
+            raise UsageError("no input: give --tape, --preset, or --config with synth settings")
 
     try:
         return pipeline.config_from_dict(settings)

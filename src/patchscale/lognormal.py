@@ -17,12 +17,11 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError
-from .patches import VARIABLES, PatchRecord
+from .patches import DEFAULT_MIN_FIRM_PATCHES, VARIABLES, PatchRecord
 
 ASYMPTOTIC_MIN_N = 50
 # scipy.stats.chi2.ppf(0.95, 2), every digit; tests/test_lognormal.py checks it.
 CHI2_CRITICAL_95 = 5.991464547107979
-DEFAULT_MIN_FIRM_PATCHES = 10
 MIN_JB_N = 8
 # Monte Carlo 95% critical values for n = MIN_JB_N .. ASYMPTOTIC_MIN_N - 1.
 # They carry sampling noise, so they are not monotone in n; keep every digit.

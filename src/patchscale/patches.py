@@ -20,6 +20,7 @@ VARIABLES = ("T", "N_m", "V_m")
 
 DEFAULT_THETA = 0.75
 DEFAULT_MIN_TRADES = 10
+DEFAULT_MIN_FIRM_PATCHES = 10
 
 
 @dataclass(frozen=True, slots=True)

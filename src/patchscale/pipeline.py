@@ -37,10 +37,14 @@ FAILURE_MARKER = "FAILED.json"
 
 PATCH_CSV_HEADER = tuple(f.name for f in fields(PatchRecord))
 _patch_csv_row = attrgetter(*PATCH_CSV_HEADER)
-# The settings that segment records in segmentations.json and analyze in
-# analysis/stocks.json; a later stage run with other values refuses to run.
-SEGMENT_SETTINGS = ("threshold", "significance_mode", "mc_trials", "theta", "seed")
-ANALYZE_SETTINGS = ("min_patch_trades", "k_policy", "bootstrap_samples", "min_firm_patches", "seed")
+# The RunConfig fields each stage records in its artifact, in stage order.  A
+# later stage checks every record that exists and refuses to run with other
+# values; the report echoes them all.
+STAGE_SETTINGS = {
+    "activity.json": ("min_trades_per_year", "min_active_days", "activity_mode"),
+    "segmentations.json": ("threshold", "significance_mode", "mc_trials", "theta", "seed"),
+    "analysis/stocks.json": ("min_patch_trades", "k_policy", "bootstrap_samples", "min_firm_patches", "seed"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +67,7 @@ class RunConfig:
     min_patch_trades: int = patches.DEFAULT_MIN_TRADES
     k_policy: str = "auto"
     bootstrap_samples: int = allometry.DEFAULT_BOOTSTRAP_SAMPLES
-    min_firm_patches: int = allometry.DEFAULT_MIN_FIRM_PATCHES
+    min_firm_patches: int = patches.DEFAULT_MIN_FIRM_PATCHES
     min_trades_per_year: int = 1000
     min_active_days: int = 200
     activity_mode: str = "strict"
@@ -126,8 +130,11 @@ def config_from_dict(payload: dict) -> RunConfig:
     elif synth_payload is not None:
         if not isinstance(synth_payload, dict):
             raise ValueError("synth must be an object of generator settings")
-        synth_config = SynthConfig(**synth_payload)
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+        try:
+            synth_config = SynthConfig(**synth_payload)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad generator settings: {exc}") from None
+    known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -170,18 +177,31 @@ def stock_dir_names(stock_ids: list[str]) -> dict[str, str]:
     return {stock_id: _safe_name(stock_id, taken) for stock_id in sorted(stock_ids)}
 
 
-def _settings(config: RunConfig, names: tuple[str, ...]) -> dict:
-    return {name: getattr(config, name) for name in names}
+def _write_record(config: RunConfig, artifact: str, payload: dict) -> None:
+    """Write a stage's artifact with the settings it records as top-level keys."""
+    settings = {name: getattr(config, name) for name in STAGE_SETTINGS[artifact]}
+    _write_json(config.out() / artifact, {**settings, **payload})
 
 
-def _check_settings(config: RunConfig, path: Path, recorded: dict, names: tuple[str, ...]) -> None:
-    """DataError unless config agrees with the settings an earlier stage recorded in path."""
-    for name in names:
-        if name in recorded and recorded[name] != getattr(config, name):
-            raise DataError(
-                f"{path} was written with {name} = {recorded[name]!r}, but this run has "
-                f"{name} = {getattr(config, name)!r}; give every stage the same settings"
-            )
+def _read_records(config: RunConfig, before: str | None = None, required: tuple[str, ...] = ()) -> dict:
+    """Read, by artifact, the records of the stages that run before the one
+    writing before (of every stage when None): those that exist and the
+    required ones.  DataError unless config agrees with every setting they hold.
+    """
+    records = {}
+    for artifact, names in STAGE_SETTINGS.items():
+        if artifact == before:
+            break
+        path = config.out() / artifact
+        if artifact in required or path.is_file():
+            records[artifact] = recorded = _read_json(path)
+            for name in names:
+                if name in recorded and recorded[name] != getattr(config, name):
+                    raise DataError(
+                        f"{path} was written with {name} = {recorded[name]!r}, but this run has "
+                        f"{name} = {getattr(config, name)!r}; give every stage the same settings"
+                    )
+    return records
 
 
 def _tape_path(config: RunConfig) -> Path:
@@ -222,11 +242,6 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
     )
     activity = table.activity()
     payload = {
-        "filters": {
-            "min_trades_per_year": config.min_trades_per_year,
-            "min_active_days": config.min_active_days,
-            "mode": config.activity_mode,
-        },
         "n_trades": len(table),
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
@@ -242,7 +257,7 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
             for firm_id, a in sorted(activity.items())
         },
     }
-    _write_json(config.out() / "activity.json", payload)
+    _write_record(config, "activity.json", payload)
     return table, qualified
 
 
@@ -252,7 +267,7 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
     The patch CSV holds every cut segment; non-directional rows leave N_m
     and V_m empty because no side dominates.
     """
-    activity = _read_json(config.out() / "activity.json")
+    activity = _read_records(config, "segmentations.json", required=("activity.json",))["activity.json"]
     if table is None:
         table = _load_table(config)
     qualified = set(activity["qualified_firms"])
@@ -284,10 +299,7 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
             patches.record(patch, patches.classify(patch, config.theta))
             for patch in patches.cut_patches(series, seg)
         )
-    _write_json(
-        config.out() / "segmentations.json",
-        {**_settings(config, SEGMENT_SETTINGS), "counts": counts, "series": exports},
-    )
+    _write_record(config, "segmentations.json", {"counts": counts, "series": exports})
     path = config.out() / "patches.csv"
     # csv writes None as an empty field and a float as its repr.
     _write_csv(path, PATCH_CSV_HEADER, map(_patch_csv_row, records))
@@ -474,11 +486,9 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
 
 def run_analyze(config: RunConfig) -> dict[str, dict]:
     """Per-stock scaling statistics written under analysis/<stock>/."""
+    # patches.csv alone can be analyzed; the earlier stages' records that are there must agree.
+    _read_records(config, "analysis/stocks.json")
     rows = read_patch_rows(config.out() / "patches.csv")
-    # patches.csv alone can be analyzed; when segment's record is there, it must agree.
-    segmentations = config.out() / "segmentations.json"
-    if segmentations.is_file():
-        _check_settings(config, segmentations, _read_json(segmentations), SEGMENT_SETTINGS)
     by_stock: dict[str, list[PatchRecord]] = {}
     for row in rows:
         by_stock.setdefault(row.stock_id, []).append(row)
@@ -517,10 +527,7 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
         summary = {key: value for key, value in result.items() if not key.startswith("_")}
         _write_json(stock_out / "summary.json", summary)
         analysis[stock_id] = summary
-    _write_json(
-        config.out() / "analysis" / "stocks.json",
-        {**_settings(config, ANALYZE_SETTINGS), "stocks": names},
-    )
+    _write_record(config, "analysis/stocks.json", {"stocks": names})
     return analysis
 
 
@@ -693,11 +700,9 @@ def _report_tables(config: RunConfig, report: dict) -> None:
 def run_report(config: RunConfig) -> dict:
     """Compose report.json, its CSV tables, and the plot-data files."""
     out = config.out()
-    segmentations = _read_json(out / "segmentations.json")
-    _check_settings(config, out / "segmentations.json", segmentations, SEGMENT_SETTINGS)
-    analyzed = _read_json(out / "analysis" / "stocks.json")
-    _check_settings(config, out / "analysis" / "stocks.json", analyzed, ANALYZE_SETTINGS)
-    names = analyzed["stocks"]
+    records = _read_records(config, required=("segmentations.json", "analysis/stocks.json"))
+    segmentations = records["segmentations.json"]
+    names = records["analysis/stocks.json"]["stocks"]
     series_per_stock: dict[str, int] = {}
     for entry in segmentations["series"]:
         series_per_stock[entry["stock_id"]] = series_per_stock.get(entry["stock_id"], 0) + 1
@@ -708,21 +713,8 @@ def run_report(config: RunConfig) -> dict:
         summary["counts"]["series"] = series_per_stock.get(stock_id, 0)
         stocks[stock_id] = summary
 
-    config_echo = {
-        "seed": config.seed,
-        "threshold": config.threshold,
-        "significance_mode": config.significance_mode,
-        "mc_trials": config.mc_trials,
-        "theta": config.theta,
-        "min_patch_trades": config.min_patch_trades,
-        "k_policy": config.k_policy,
-        "bootstrap_samples": config.bootstrap_samples,
-        "min_firm_patches": config.min_firm_patches,
-        "min_trades_per_year": config.min_trades_per_year,
-        "min_active_days": config.min_active_days,
-        "activity_mode": config.activity_mode,
-        "source": "synth" if config.synth is not None else ("tape" if config.tape else "artifacts"),
-    }
+    config_echo = {name: getattr(config, name) for names in STAGE_SETTINGS.values() for name in names}
+    config_echo["source"] = "synth" if config.synth is not None else ("tape" if config.tape else "artifacts")
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": config_echo,

@@ -117,12 +117,6 @@ class GroundTruth:
     packages: tuple[PlantedPackage, ...]
     firm_sizes: dict[str, float] = field(default_factory=dict)
 
-    def by_firm(self) -> dict[str, list[PlantedPackage]]:
-        grouped: dict[str, list[PlantedPackage]] = {}
-        for package in self.packages:
-            grouped.setdefault(package.firm_id, []).append(package)
-        return grouped
-
     def to_json_dict(self) -> dict:
         return {
             "firm_sizes": {k: float(v) for k, v in sorted(self.firm_sizes.items())},
@@ -203,30 +197,13 @@ def _split_value(total: float, parts: int, sigma: float, rng: np.random.Generato
     return total * weights / weights.sum()
 
 
-class _FirmEmitter:
-    """Accumulates one firm's trades in chronological order."""
-
-    __slots__ = ("timestamps", "signs", "values", "count")
-
-    def __init__(self) -> None:
-        self.timestamps: list[np.ndarray] = []
-        self.signs: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
-        self.count = 0
-
-    def append(self, ts: np.ndarray, signs: np.ndarray, values: np.ndarray) -> None:
-        self.timestamps.append(ts)
-        self.signs.append(signs)
-        self.values.append(values)
-        self.count += len(ts)
-
-
 def _emit_firm(
     firm_id: str,
     log_size: float,
     config: SynthConfig,
     rng: np.random.Generator,
-) -> tuple[_FirmEmitter, list[PlantedPackage]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[PlantedPackage]]:
+    """One firm's trades as chronological (timestamps, signs, values) chunks, and its packages."""
     # The firm's package schedule: count, start, sizes, then directions.
     n_packages = max(1, int(rng.poisson(config.packages_per_firm_mean)))
     start_time = config.start_time + int(rng.integers(0, 30 * 86400))
@@ -237,7 +214,8 @@ def _emit_firm(
     signs[0] = 1 if first_buy else -1
     for j in range(1, n_packages):
         signs[j] = -signs[j - 1] if flips[j - 1] else signs[j - 1]
-    emitter = _FirmEmitter()
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    emitted = 0
     planted: list[PlantedPackage] = []
     t0 = start_time
     for j in range(n_packages):
@@ -274,15 +252,16 @@ def _emit_firm(
             PlantedPackage(
                 firm_id=firm_id,
                 stock_id=config.stock_id,
-                start=emitter.count,
-                end=emitter.count + len(package_ts),
+                start=emitted,
+                end=emitted + len(package_ts),
                 direction=DIRECTION_BUY if sign == 1 else DIRECTION_SELL,
                 T=duration,
                 N_m=n_dom,
                 V_m=float(child_values.sum()),
             )
         )
-        emitter.append(package_ts[order], package_signs[order], package_values[order])
+        chunks.append((package_ts[order], package_signs[order], package_values[order]))
+        emitted += len(package_ts)
 
         if j == n_packages - 1:
             break
@@ -296,11 +275,12 @@ def _emit_firm(
             churn_values = rng.lognormal(
                 config.churn_value_mu, config.churn_value_sigma, n_churn
             )
-            emitter.append(churn_ts, churn_signs, churn_values)
+            chunks.append((churn_ts, churn_signs, churn_values))
+            emitted += n_churn
             t0 = next_start
         else:
             t0 = t0 + duration + gap
-    return emitter, planted
+    return chunks, planted
 
 
 def generate(config: SynthConfig) -> tuple[TradeTable, GroundTruth]:
@@ -316,20 +296,17 @@ def generate(config: SynthConfig) -> tuple[TradeTable, GroundTruth]:
     width = len(str(config.n_firms - 1))
     firm_ids = [f"F{i:0{width}d}" for i in range(config.n_firms)]
 
-    all_ts: list[np.ndarray] = []
-    all_signs: list[np.ndarray] = []
-    all_values: list[np.ndarray] = []
+    all_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     all_codes: list[np.ndarray] = []
     packages: list[PlantedPackage] = []
     for i in range(config.n_firms):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, i]))
-        emitter, planted = _emit_firm(firm_ids[i], float(math.log(sizes[i])), config, rng)
-        all_ts.extend(emitter.timestamps)
-        all_signs.extend(emitter.signs)
-        all_values.extend(emitter.values)
-        all_codes.append(np.full(emitter.count, i, dtype=np.int32))
+        chunks, planted = _emit_firm(firm_ids[i], float(math.log(sizes[i])), config, rng)
+        all_chunks.extend(chunks)
+        all_codes.append(np.full(sum(len(ts) for ts, _, _ in chunks), i, dtype=np.int32))
         packages.extend(planted)
 
+    all_ts, all_signs, all_values = zip(*all_chunks)
     timestamps = np.concatenate(all_ts).astype(np.int64)
     signs = np.concatenate(all_signs).astype(np.int8)
     values = np.concatenate(all_values).astype(np.float64)

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, stage commands, and exit codes."""
 
+import argparse
 import csv
 import json
 import re
@@ -15,9 +16,9 @@ from patchscale.errors import NumericalError
 TINY_SYNTH = {"n_firms": 12, "packages_per_firm_mean": 6.0, "seed": 5}
 
 
-def _write_synth_json(tmp_path):
-    path = tmp_path / "synth.json"
-    path.write_text(json.dumps(TINY_SYNTH))
+def _write_synth_config(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"synth": TINY_SYNTH}))
     return str(path)
 
 
@@ -36,24 +37,16 @@ def test_synth_requires_a_source(tmp_path, capsys):
     assert "--preset" in err
 
 
-def test_preset_and_synth_config_conflict(tmp_path, capsys):
-    path = _write_synth_json(tmp_path)
-    code = main(
-        ["synth", "--preset", "small", "--synth-config", path, "--output-dir", str(tmp_path)]
-    )
-    assert code == EXIT_USAGE
-
-
 def test_unknown_preset_is_usage_error(tmp_path):
     assert main(["synth", "--preset", "huge", "--output-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 def test_bad_flag_value_is_usage_error(tmp_path, capsys):
-    path = _write_synth_json(tmp_path)
+    path = _write_synth_config(tmp_path)
     code = main(
         [
             "all",
-            "--synth-config",
+            "--config",
             path,
             "--output-dir",
             str(tmp_path / "out"),
@@ -186,12 +179,24 @@ def test_later_stage_refuses_settings_that_contradict_an_earlier_one(tmp_path, c
     assert main([*analyze, "--theta", "0.8", *out]) == EXIT_DATA
     assert "theta = 0.75, but this run has theta = 0.8" in capsys.readouterr().err
     assert main(["report", "--preset", "small", "--min-patch-trades", "40", "--bootstrap-samples", "400", *out]) == EXIT_OK
+    # segment and report, too, refuse to contradict the activity filters ingest selected firms with.
+    tape_run = ["--tape", str(tmp_path / "out" / "tape.csv"), "--output-dir", str(tmp_path / "tape_out")]
+    filters = ["--min-trades-per-year", "0", "--min-active-days", "0"]
+    assert main(["ingest", *tape_run, *filters]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["segment", *tape_run]) == EXIT_DATA
+    assert "min_trades_per_year = 0, but this run has min_trades_per_year = 1000" in capsys.readouterr().err
+    assert main(["segment", *tape_run, *filters]) == EXIT_OK
+    assert main(["analyze", *tape_run, *filters, "--bootstrap-samples", "400"]) == EXIT_OK
+    assert main(["report", *tape_run, "--bootstrap-samples", "400"]) == EXIT_DATA
+    assert "min_trades_per_year = 0, but this run has min_trades_per_year = 1000" in capsys.readouterr().err
+    assert not (tmp_path / "tape_out" / "report.json").exists()
 
 
 def test_all_reruns_from_existing_tape(tmp_path):
-    path = _write_synth_json(tmp_path)
+    path = _write_synth_config(tmp_path)
     out = str(tmp_path / "out")
-    assert main(["all", "--synth-config", path, "--bootstrap-samples", "400", "--output-dir", out]) == EXIT_OK
+    assert main(["all", "--config", path, "--bootstrap-samples", "400", "--output-dir", out]) == EXIT_OK
     # Without a source the command reuses the tape already in the output.
     assert main(["all", "--bootstrap-samples", "400", "--output-dir", out]) == EXIT_OK
     # A fresh directory with no tape cannot run.
@@ -283,13 +288,19 @@ KEY_SETTINGS = {
     "--min-trades-per-year": ("50", "min_trades_per_year", 50),
     "--min-active-days": ("20", "min_active_days", 20),
     "--activity-mode": ("prorated", "activity_mode", "prorated"),
+    "--significance-mode": ("monte-carlo", "significance_mode", "monte-carlo"),
+    "--mc-trials": ("500", "mc_trials", 500),
+    "--min-firm-patches": ("12", "min_firm_patches", 12),
     "--seed": ("7", "seed", 7),
 }
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_key_settings_parse_with_all():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("## Key settings", 1)[1].split("\n## ", 1)[0]
+    table = _readme().split("## Key settings", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"--[a-z][a-z-]*", table)) == set(KEY_SETTINGS)
     argv = ["all", "--preset", "small", "--output-dir", "out"]
     for flag, (text, _, _) in KEY_SETTINGS.items():
@@ -297,6 +308,19 @@ def test_readme_key_settings_parse_with_all():
     config = _parse(argv)
     for flag, (_, field, expected) in KEY_SETTINGS.items():
         assert getattr(config, field) == expected, flag
+
+
+def test_readme_names_every_flag():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        option
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert "--threshold" in flags
+    assert flags - set(re.findall(r"--[a-z][a-z-]*", _readme())) == set()
 
 
 def test_k_prefix_still_selects_k_policy():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import write_tape
 from patchscale.errors import DataError
 from patchscale.pipeline import (
     FAILURE_MARKER,
+    STAGE_SETTINGS,
     RunConfig,
     config_from_dict,
     emit_plot_data,
@@ -77,6 +79,20 @@ def test_report_shape(small_run):
     section = report["stocks"]["SYN"]
     for key in ("counts", "tails", "allometry", "lognormality", "per_firm_exponents"):
         assert key in section
+
+
+def test_stage_settings_cover_every_run_setting(small_run):
+    # Every setting but the inputs is recorded by one stage, checked by the
+    # later ones and echoed by the report.
+    config, report = small_run
+    inputs = {"output_dir", "tape", "synth"}
+    recorded = {name for names in STAGE_SETTINGS.values() for name in names}
+    assert recorded | inputs == {field.name for field in fields(RunConfig)}
+    assert not recorded & inputs
+    assert set(report["config"]) == recorded | {"source"}
+    for artifact, names in STAGE_SETTINGS.items():
+        on_disk = json.loads((config.out() / artifact).read_text())
+        assert {name: on_disk[name] for name in names} == {name: getattr(config, name) for name in names}
 
 
 def test_counts_reconcile(small_run):

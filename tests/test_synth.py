@@ -69,6 +69,13 @@ def _series_by_firm(table):
     return {series.firm_id: series for series in table.iter_series()}
 
 
+def _packages_by_firm(truth):
+    grouped = {}
+    for package in truth.packages:
+        grouped.setdefault(package.firm_id, []).append(package)
+    return grouped
+
+
 def test_planted_indices_align_with_series():
     table, truth = generate(SMALL)
     for pkg in truth.packages:
@@ -77,7 +84,7 @@ def test_planted_indices_align_with_series():
         assert pkg.T >= 1
         assert pkg.direction in ("buy", "sell")
     series_map = _series_by_firm(table)
-    for firm_id, packages in truth.by_firm().items():
+    for firm_id, packages in _packages_by_firm(truth).items():
         series = series_map[firm_id]
         previous_end = 0
         for pkg in sorted(packages, key=lambda p: p.start):
@@ -89,7 +96,7 @@ def test_planted_indices_align_with_series():
 def test_planted_packages_conserve_values():
     table, truth = generate(SMALL)
     series_map = _series_by_firm(table)
-    for firm_id, packages in truth.by_firm().items():
+    for firm_id, packages in _packages_by_firm(truth).items():
         values = series_map[firm_id].signed_values
         timestamps = series_map[firm_id].timestamps
         for pkg in packages:
@@ -110,7 +117,7 @@ def test_planted_packages_classify_directional_under_noise():
     config = replace(SMALL, noise_fraction=0.2)
     table, truth = generate(config)
     series_map = _series_by_firm(table)
-    for firm_id, packages in truth.by_firm().items():
+    for firm_id, packages in _packages_by_firm(truth).items():
         values = series_map[firm_id].signed_values
         for pkg in packages:
             rows = values[pkg.start : pkg.end]
@@ -136,7 +143,7 @@ def test_zero_noise_packages_are_single_signed():
     config = replace(SMALL, noise_fraction=0.0)
     table, truth = generate(config)
     series_map = _series_by_firm(table)
-    for firm_id, packages in truth.by_firm().items():
+    for firm_id, packages in _packages_by_firm(truth).items():
         values = series_map[firm_id].signed_values
         for pkg in packages:
             rows = values[pkg.start : pkg.end]
@@ -148,7 +155,7 @@ def test_churn_fills_gaps_between_packages():
     config = replace(SMALL, churn_prob=1.0)
     table, truth = generate(config)
     gaps = 0
-    for packages in truth.by_firm().values():
+    for packages in _packages_by_firm(truth).values():
         ordered = sorted(packages, key=lambda p: p.start)
         for prev, nxt in zip(ordered, ordered[1:]):
             gaps += nxt.start > prev.end
@@ -167,7 +174,7 @@ def test_planted_values_are_lognormal_per_firm():
     config = SynthConfig(n_firms=50, packages_per_firm_mean=25.0, seed=8)
     _, truth = generate(config)
     passed = tested = 0
-    for packages in truth.by_firm().values():
+    for packages in _packages_by_firm(truth).values():
         values = np.log([pkg.V_m for pkg in packages])
         if len(values) < 10:
             continue
@@ -191,7 +198,7 @@ def test_segmentation_recovers_planted_boundaries():
         direction_flip_prob=1.0,
     )
     table, truth = generate(config)
-    by_firm = truth.by_firm()
+    by_firm = _packages_by_firm(truth)
     total = hit = 0
     for series in table.iter_series():
         packages = by_firm.get(series.firm_id)
