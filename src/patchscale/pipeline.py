@@ -219,7 +219,9 @@ def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
     out = config.out()
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "tape.csv")
-    _write_json(out / "ground_truth.json", truth.to_json_dict())
+    # Compact: an indented dump takes json's pure-Python encoder, ~3x slower.
+    compact = json.dumps(truth.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    (out / "ground_truth.json").write_text(compact + "\n", encoding="utf-8")
     return table, truth
 
 
@@ -228,6 +230,11 @@ def _load_table(config: RunConfig) -> TradeTable:
     if not path.is_file():
         raise DataError(f"missing artifact {path}; run the synth stage or provide a tape")
     return TradeTable.from_csv(path)
+
+
+def _tape_record(table: TradeTable) -> dict:
+    """What activity.json records of the tape ingest read: its row count and time span."""
+    return {"n_trades": len(table), "span": list(table.span()) if len(table) else None}
 
 
 def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[TradeTable, set[str]]:
@@ -242,10 +249,9 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
     )
     activity = table.activity()
     payload = {
-        "n_trades": len(table),
+        **_tape_record(table),
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
-        "span": list(table.span()) if len(table) else None,
         "qualified_firms": sorted(qualified),
         "firms": {
             firm_id: {
@@ -270,6 +276,14 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
     activity = _read_records(config, "segmentations.json", required=("activity.json",))["activity.json"]
     if table is None:
         table = _load_table(config)
+    tape = _tape_record(table)
+    ingested = {key: activity.get(key) for key in tape}
+    if tape != ingested:
+        raise DataError(
+            f"{_tape_path(config)} holds {tape['n_trades']} trades spanning {tape['span']}, "
+            f"but {config.out() / 'activity.json'} was written for {ingested['n_trades']} "
+            f"trades spanning {ingested['span']}; run ingest on this tape first"
+        )
     qualified = set(activity["qualified_firms"])
     policy = segmentation.SignificancePolicy(
         mode=config.significance_mode,

@@ -7,11 +7,13 @@ and duration.  Exponentiating an exponential log-size yields Pareto tails
 with the configured exponents, while each firm's own packages stay lognormal
 around its size level.  Packages are contaminated with a bounded fraction of
 opposite-side value and optionally separated by short mixed-side churn, so a
-detector has realistic work to do.
+detector has realistic work to do.  Trades are in whole cents, like the
+currency amounts of a real tape.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +33,8 @@ class SynthConfig:
     the realized exponent of each variable is zipf_exponent times the
     configured one.  noise_fraction is the opposite-side value planted into
     every package as a fraction of the dominant-side value, and must keep
-    the dominant share above theta_target.
+    the dominant share above theta_target.  Every trade value is a whole
+    number of cents, rounded to the nearest and never below one cent.
     """
 
     n_firms: int = 1500
@@ -192,9 +195,23 @@ def _package_stats(
     return values, counts, durations
 
 
-def _split_value(total: float, parts: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    weights = rng.lognormal(0.0, sigma, parts)
-    return total * weights / weights.sum()
+def _cents(values: np.ndarray) -> np.ndarray:
+    """Values as whole numbers of cents, never below one: a value of 0 has no side."""
+    return np.maximum(np.round(100.0 * values), 1.0)
+
+
+def _split_cents(
+    totals: np.ndarray, parts: np.ndarray, sigma: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Each total split into parts[j] lognormal shares, in cents, laid out total by total.
+
+    Every part count is >= 1, or all are 0.
+    """
+    weights = rng.lognormal(0.0, sigma, int(parts.sum()))
+    if not len(weights):
+        return weights
+    sums = np.add.reduceat(weights, np.cumsum(parts) - parts)
+    return _cents(weights * np.repeat(totals / sums, parts))
 
 
 def _emit_firm(
@@ -202,85 +219,78 @@ def _emit_firm(
     log_size: float,
     config: SynthConfig,
     rng: np.random.Generator,
-) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[PlantedPackage]]:
-    """One firm's trades as chronological (timestamps, signs, values) chunks, and its packages."""
-    # The firm's package schedule: count, start, sizes, then directions.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[PlantedPackage]]:
+    """One firm's (timestamps, signs, values) columns, and its packages.
+
+    Each kind of draw is made for all of the firm's packages at once, and the
+    rows are laid out by kind: dominant trades package by package (first,
+    interior, last), then noise package by package, then churn.  Package j
+    spans [starts[j], ends[j]], and the churn after it lies strictly between
+    ends[j] and starts[j + 1], so a stable sort by timestamp makes every
+    package and burst contiguous, in order, with the layout order on ties.
+    """
+    # The firm's package schedule: count, start, sizes, directions, then gaps.
     n_packages = max(1, int(rng.poisson(config.packages_per_firm_mean)))
     start_time = config.start_time + int(rng.integers(0, 30 * 86400))
     values, counts, durations = _package_stats(np.full(n_packages, log_size), config, rng)
-    first_buy = rng.random() < 0.5
-    flips = rng.random(n_packages - 1) < config.direction_flip_prob if n_packages > 1 else np.array([])
-    signs = np.empty(n_packages, dtype=np.int8)
-    signs[0] = 1 if first_buy else -1
-    for j in range(1, n_packages):
-        signs[j] = -signs[j - 1] if flips[j - 1] else signs[j - 1]
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    emitted = 0
-    planted: list[PlantedPackage] = []
-    t0 = start_time
-    for j in range(n_packages):
-        n_dom = int(counts[j])
-        duration = int(durations[j])
-        dominant_value = float(values[j])
-        sign = int(signs[j])
+    first_sign = 1 if rng.random() < 0.5 else -1
+    flips = np.cumsum(rng.random(n_packages - 1) < config.direction_flip_prob)
+    signs = np.where(np.concatenate(([0], flips)) % 2 == 0, first_sign, -first_sign).astype(np.int8)
+    gaps = 1 + rng.exponential(config.gap_mean, n_packages - 1).astype(np.int64)
+    churned = rng.random(n_packages - 1) < config.churn_prob
+    gaps[churned] = np.maximum(gaps[churned], 20)
+    starts = start_time + np.concatenate(([0], np.cumsum(durations[:-1] + gaps)))
+    ends = starts + durations
 
-        child_values = _split_value(dominant_value, n_dom, config.child_value_sigma, rng)
-        if n_dom > 2:
-            interior = np.sort(rng.integers(t0, t0 + duration + 1, n_dom - 2))
-            dom_ts = np.concatenate(([t0], interior, [t0 + duration]))
-        else:
-            dom_ts = np.array([t0, t0 + duration], dtype=np.int64)
+    # Dominant trades: the first at the start, the last at the end, the rest in between.
+    dominant_cents = _split_cents(values, counts, config.child_value_sigma, rng)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    dominant_ts = rng.integers(np.repeat(starts, counts), np.repeat(ends + 1, counts))
+    dominant_ts[first] = starts
+    dominant_ts[last] = ends
 
-        n_noise = max(1, round(config.noise_fraction * n_dom)) if config.noise_fraction > 0 else 0
-        if n_noise:
-            noise_values = _split_value(
-                config.noise_fraction * dominant_value, n_noise, config.child_value_sigma, rng
-            )
-            noise_ts = np.sort(rng.integers(t0, t0 + duration + 1, n_noise))
-        else:
-            noise_values = np.array([])
-            noise_ts = np.array([], dtype=np.int64)
+    # Opposite-side noise worth noise_fraction of each package's value.
+    n_noise = np.maximum(
+        np.round(config.noise_fraction * counts), 1 if config.noise_fraction > 0 else 0
+    ).astype(np.int64)
+    noise_cents = _split_cents(
+        config.noise_fraction * values, n_noise, config.child_value_sigma, rng
+    )
+    noise_ts = rng.integers(np.repeat(starts, n_noise), np.repeat(ends + 1, n_noise))
 
-        package_ts = np.concatenate((dom_ts, noise_ts))
-        package_signs = np.concatenate(
-            (np.full(n_dom, sign, dtype=np.int8), np.full(n_noise, -sign, dtype=np.int8))
+    # Mixed-side churn in the churned gaps; n_churn[j] trades follow package j.
+    n_churn = np.zeros(n_packages, dtype=np.int64)
+    bursts = rng.poisson(config.churn_trades_mean, int(churned.sum()))
+    n_churn[:-1][churned] = 2 + np.minimum(bursts, 7)
+    gap_churn = n_churn[:-1]
+    churn_ts = rng.integers(np.repeat(ends[:-1] + 1, gap_churn), np.repeat(starts[1:], gap_churn))
+    churn_signs = (rng.integers(0, 2, len(churn_ts)) * 2 - 1).astype(np.int8)
+    churn_cents = _cents(
+        rng.lognormal(config.churn_value_mu, config.churn_value_sigma, len(churn_ts))
+    )
+
+    columns = (
+        np.concatenate((dominant_ts, noise_ts, churn_ts)),
+        np.concatenate((np.repeat(signs, counts), np.repeat(-signs, n_noise), churn_signs)),
+        np.concatenate((dominant_cents, noise_cents, churn_cents)) / 100,
+    )
+    package_rows = counts + n_noise
+    row_starts = np.cumsum(package_rows + n_churn) - package_rows - n_churn
+    planted = list(
+        map(
+            PlantedPackage,
+            itertools.repeat(firm_id),
+            itertools.repeat(config.stock_id),
+            row_starts.tolist(),
+            (row_starts + package_rows).tolist(),
+            [DIRECTION_BUY if sign == 1 else DIRECTION_SELL for sign in signs.tolist()],
+            durations.tolist(),
+            counts.tolist(),
+            (np.add.reduceat(dominant_cents, first) / 100).tolist(),
         )
-        package_values = np.concatenate((child_values, noise_values))
-        order = np.argsort(package_ts, kind="stable")
-
-        planted.append(
-            PlantedPackage(
-                firm_id=firm_id,
-                stock_id=config.stock_id,
-                start=emitted,
-                end=emitted + len(package_ts),
-                direction=DIRECTION_BUY if sign == 1 else DIRECTION_SELL,
-                T=duration,
-                N_m=n_dom,
-                V_m=float(child_values.sum()),
-            )
-        )
-        chunks.append((package_ts[order], package_signs[order], package_values[order]))
-        emitted += len(package_ts)
-
-        if j == n_packages - 1:
-            break
-        gap = 1 + int(rng.exponential(config.gap_mean))
-        if rng.random() < config.churn_prob:
-            gap = max(gap, 20)
-            next_start = t0 + duration + gap
-            n_churn = 2 + min(int(rng.poisson(config.churn_trades_mean)), 7)
-            churn_ts = np.sort(rng.integers(t0 + duration + 1, next_start, n_churn))
-            churn_signs = (rng.integers(0, 2, n_churn) * 2 - 1).astype(np.int8)
-            churn_values = rng.lognormal(
-                config.churn_value_mu, config.churn_value_sigma, n_churn
-            )
-            chunks.append((churn_ts, churn_signs, churn_values))
-            emitted += n_churn
-            t0 = next_start
-        else:
-            t0 = t0 + duration + gap
-    return chunks, planted
+    )
+    return columns, planted
 
 
 def generate(config: SynthConfig) -> tuple[TradeTable, GroundTruth]:
@@ -288,7 +298,7 @@ def generate(config: SynthConfig) -> tuple[TradeTable, GroundTruth]:
 
     Firms draw from independent child streams of the configured seed, so the
     output does not depend on emission order.  The tape is time-ordered with
-    per-firm emission order preserved on timestamp ties.
+    each firm's row layout order preserved on timestamp ties.
     """
     master = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     sizes = gen_firm_sizes(config.n_firms, config.zipf_exponent, master)
@@ -296,21 +306,18 @@ def generate(config: SynthConfig) -> tuple[TradeTable, GroundTruth]:
     width = len(str(config.n_firms - 1))
     firm_ids = [f"F{i:0{width}d}" for i in range(config.n_firms)]
 
-    all_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    all_codes: list[np.ndarray] = []
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    codes: list[np.ndarray] = []
     packages: list[PlantedPackage] = []
     for i in range(config.n_firms):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, i]))
-        chunks, planted = _emit_firm(firm_ids[i], float(math.log(sizes[i])), config, rng)
-        all_chunks.extend(chunks)
-        all_codes.append(np.full(sum(len(ts) for ts, _, _ in chunks), i, dtype=np.int32))
+        firm_columns, planted = _emit_firm(firm_ids[i], float(math.log(sizes[i])), config, rng)
+        columns.append(firm_columns)
+        codes.append(np.full(len(firm_columns[0]), i, dtype=np.int32))
         packages.extend(planted)
 
-    all_ts, all_signs, all_values = zip(*all_chunks)
-    timestamps = np.concatenate(all_ts).astype(np.int64)
-    signs = np.concatenate(all_signs).astype(np.int8)
-    values = np.concatenate(all_values).astype(np.float64)
-    firm_codes = np.concatenate(all_codes)
+    timestamps, signs, values = (np.concatenate(c) for c in zip(*columns))
+    firm_codes = np.concatenate(codes)
     order = np.argsort(timestamps, kind="stable")
 
     table = TradeTable(

@@ -191,6 +191,18 @@ def test_later_stage_refuses_settings_that_contradict_an_earlier_one(tmp_path, c
     assert main(["report", *tape_run, "--bootstrap-samples", "400"]) == EXIT_DATA
     assert "min_trades_per_year = 0, but this run has min_trades_per_year = 1000" in capsys.readouterr().err
     assert not (tmp_path / "tape_out" / "report.json").exists()
+    # segment, too, refuses a tape other than the one ingest read.
+    seeded = {seed: tmp_path / f"seed{seed}" for seed in (1, 2)}
+    for seed, out_dir in seeded.items():
+        assert main(["synth", "--preset", "small", "--seed", str(seed), "--output-dir", str(out_dir)]) == EXIT_OK
+    mixed = ["--output-dir", str(tmp_path / "mixed"), *filters]
+    assert main(["ingest", "--tape", str(seeded[1] / "tape.csv"), *mixed]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["segment", "--tape", str(seeded[2] / "tape.csv"), *mixed]) == EXIT_DATA
+    recorded = json.loads((tmp_path / "mixed" / "activity.json").read_text())
+    err = capsys.readouterr().err
+    assert f"was written for {recorded['n_trades']} trades spanning {recorded['span']}" in err
+    assert not (tmp_path / "mixed" / "segmentations.json").exists()
 
 
 def test_all_reruns_from_existing_tape(tmp_path):

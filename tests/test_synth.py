@@ -16,6 +16,7 @@ from patchscale.synth import (
     small_preset,
 )
 from patchscale.tails import hill
+from patchscale.trades import TradeTable
 
 SMALL = SynthConfig(n_firms=25, packages_per_firm_mean=8.0, seed=9)
 
@@ -49,6 +50,18 @@ def _same_tape(a, b):
     )
 
 
+def _round_trips(table, path):
+    """The tape reads back from its CSV with the same rows, bit for bit."""
+    table.to_csv(path)
+    back = TradeTable.from_csv(path)
+    columns = ("timestamps", "signs", "values")
+    return (
+        all(np.array_equal(getattr(back, c), getattr(table, c)) for c in columns)
+        and np.array_equal(np.array(back.firms)[back.firm_codes], np.array(table.firms)[table.firm_codes])
+        and np.array_equal(np.array(back.stocks)[back.stock_codes], np.array(table.stocks)[table.stock_codes])
+    )
+
+
 def test_generate_is_deterministic():
     table_a, truth_a = generate(SMALL)
     table_b, truth_b = generate(SMALL)
@@ -58,11 +71,15 @@ def test_generate_is_deterministic():
     assert not _same_tape(table_c, table_a)
 
 
-def test_tape_is_time_sorted_with_positive_values():
+def test_tape_is_time_sorted_with_positive_values(tmp_path):
     table, _ = generate(SMALL)
     timestamps = table.timestamps
     assert (np.diff(timestamps) >= 0).all()
-    assert (table.values > 0).all()
+    # Every value is a whole number of cents, at least one.
+    cents = np.round(table.values * 100)
+    assert (cents >= 1).all()
+    assert np.array_equal(cents / 100, table.values)
+    assert _round_trips(table, tmp_path / "tape.csv")
 
 
 def _series_by_firm(table):
@@ -76,25 +93,56 @@ def _packages_by_firm(truth):
     return grouped
 
 
+# Configs that stress the vector draws: no noise trades at all, firms of one
+# package (no gaps, so no churn), and children worth far below half a cent.
+EDGE_CONFIGS = (
+    {"noise_fraction": 0.0},
+    {"packages_per_firm_mean": 0.01},
+    {"value_mu0": -12.0},
+)
+
+
 def test_planted_indices_align_with_series():
-    table, truth = generate(SMALL)
-    for pkg in truth.packages:
-        assert pkg.V_m > 0
-        assert pkg.N_m >= 2
-        assert pkg.T >= 1
-        assert pkg.direction in ("buy", "sell")
+    for overrides in ({}, *EDGE_CONFIGS):
+        table, truth = generate(replace(SMALL, **overrides))
+        for pkg in truth.packages:
+            assert pkg.V_m > 0
+            assert pkg.N_m >= 2
+            assert pkg.T >= 1
+            assert pkg.direction in ("buy", "sell")
+        series_map = _series_by_firm(table)
+        for firm_id, packages in _packages_by_firm(truth).items():
+            series = series_map[firm_id]
+            previous_end = 0
+            for pkg in sorted(packages, key=lambda p: p.start):
+                assert 0 <= pkg.start < pkg.end <= len(series)
+                assert pkg.start >= previous_end
+                previous_end = pkg.end
+
+
+def test_one_package_firms_span_their_series():
+    table, truth = generate(replace(SMALL, packages_per_firm_mean=0.01))
     series_map = _series_by_firm(table)
     for firm_id, packages in _packages_by_firm(truth).items():
-        series = series_map[firm_id]
-        previous_end = 0
-        for pkg in sorted(packages, key=lambda p: p.start):
-            assert 0 <= pkg.start < pkg.end <= len(series)
-            assert pkg.start >= previous_end
-            previous_end = pkg.end
+        (pkg,) = packages
+        assert (pkg.start, pkg.end) == (0, len(series_map[firm_id]))
+
+
+def _cents(values):
+    return np.round(np.abs(values) * 100)
 
 
 def test_planted_packages_conserve_values():
+    # Package j's raw dominant shares sum to its drawn value V and its raw
+    # noise shares to noise_fraction * V.  Each share is written rounded to
+    # the nearest cent, off by at most half a cent while it is worth at least
+    # half a cent.  V_m is the sum of the written dominant cents, so it is
+    # within N_m / 2 cents of V, and the written noise lies within
+    # n_noise / 2 cents of noise_fraction * V, hence within
+    # (n_noise + noise_fraction * N_m) / 2 cents of noise_fraction * V_m.
     table, truth = generate(SMALL)
+    # No written value of one cent: no share fell below half a cent.
+    assert table.values.min() > 0.01
     series_map = _series_by_firm(table)
     for firm_id, packages in _packages_by_firm(truth).items():
         values = series_map[firm_id].signed_values
@@ -105,12 +153,25 @@ def test_planted_packages_conserve_values():
             dominant = rows[np.sign(rows) == sign]
             opposite = rows[np.sign(rows) == -sign]
             assert len(dominant) == pkg.N_m
-            assert abs(dominant).sum() == pytest.approx(pkg.V_m, rel=1e-9)
-            assert abs(opposite).sum() == pytest.approx(
-                SMALL.noise_fraction * pkg.V_m, rel=1e-9
-            )
+            v_m_cents = round(pkg.V_m * 100)
+            assert _cents(dominant).sum() == v_m_cents
+            noise_error = abs(_cents(opposite).sum() - SMALL.noise_fraction * v_m_cents)
+            assert noise_error <= (len(opposite) + SMALL.noise_fraction * pkg.N_m) / 2
             span = timestamps[pkg.start : pkg.end]
             assert int(span.max() - span.min()) == pkg.T
+
+
+def test_children_below_half_a_cent_are_written_as_one_cent(tmp_path):
+    # Packages worth a fraction of a cent in all: every dominant and noise
+    # child rounds to 0, and the floor keeps it a one-cent trade with a side.
+    table, truth = generate(replace(SMALL, value_mu0=-12.0))
+    series_map = _series_by_firm(table)
+    for firm_id, packages in _packages_by_firm(truth).items():
+        values = series_map[firm_id].signed_values
+        for pkg in packages:
+            assert (np.abs(values[pkg.start : pkg.end]) == 0.01).all()
+            assert round(pkg.V_m * 100) == pkg.N_m
+    assert _round_trips(table, tmp_path / "tape.csv")
 
 
 def test_planted_packages_classify_directional_under_noise():

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -250,18 +251,39 @@ QUOTED_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("name", ["synthetic", "quoted ids"])
+# Whole cents below 1e13 are formatted from their cent count, everything
+# else by repr: each side of that line, values repr prints in e-notation,
+# and a double above 1e13 whose cent count, 58926249231888072, divides back
+# to it while repr prints it as ...880.8.
+EDGE_VALUES = [
+    0.01, 0.1, 1.0, 0.5, 12.3, 99.99, 100.0, 100.05, 123456.7,
+    9999999999999.99, 1e13, 10000000000000.01, 1.5e13, 589262492318880.8, 1e16, 1e22,
+    0.125, 0.1 + 0.2, 0.005, 1e-4, 5e-324, 1e307, 1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("name", ["synthetic", "quoted ids", "cents and edge values"])
 def test_to_csv_matches_csv_writer_oracle(tmp_path, monkeypatch, name):
     if name == "synthetic":
         table, _ = generate(small_preset())
-    else:
+    elif name == "quoted ids":
         table = make_table(QUOTED_ROWS)
+    else:
+        table = make_table([(t, "F1", "S1", "BS"[t % 2], v) for t, v in enumerate(EDGE_VALUES * 50)])
     monkeypatch.setattr(trades, "_WRITE_ROWS", 1000)
     path, oracle = tmp_path / "tape.csv", tmp_path / "oracle.csv"
-    table.to_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table.to_csv(path)
     _csv_writer_oracle(table, oracle)
     assert path.read_bytes() == oracle.read_bytes()
     assert _columns(TradeTable.from_csv(path)) == _columns(table)
+
+
+def test_to_csv_refuses_a_negative_timestamp(tmp_path):
+    # from_csv would reject the row; the writer formats non-negative digits only.
+    with pytest.raises(ValueError, match="negative timestamp"):
+        make_table([(-5, "F1", "S1", "B", 1.0)]).to_csv(tmp_path / "tape.csv")
 
 
 def test_iter_series_signs_and_grouping():
