@@ -49,7 +49,9 @@ class PatchRecord:
 
     T is the time from the first to the last trade; N_m and V_m are the
     dominant side's trade count and value, and are None exactly when the
-    direction is non-directional.
+    direction is non-directional.  A record that cannot be meaningful (a
+    non-finite or negative value, negative T, start >= end, or a V_m other
+    than its own side's value) raises ValueError.
     """
 
     firm_id: str
@@ -72,6 +74,21 @@ class PatchRecord:
                 f"N_m and V_m must be given exactly for buy and sell rows, got a {self.direction!r} "
                 f"row with N_m={self.N_m!r}, V_m={self.V_m!r}"
             )
+        for name in ("V_b", "V_s", "V_m"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.T < 0:
+            raise ValueError(f"T must be >= 0, got {self.T}")
+        if self.start >= self.end:
+            raise ValueError(f"start must be below end, got start={self.start}, end={self.end}")
+        if directional:
+            own = "V_b" if self.direction == DIRECTION_BUY else "V_s"
+            if self.V_m != getattr(self, own):
+                raise ValueError(
+                    f"V_m of a {self.direction} row must equal its {own}, got V_m={self.V_m!r}, "
+                    f"{own}={getattr(self, own)!r}"
+                )
 
 
 def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:

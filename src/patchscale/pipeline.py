@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
@@ -29,7 +30,7 @@ import numpy as np
 from . import allometry, lognormal, patches, segmentation, tails
 from .errors import DataError, NumericalError, utf8_lines
 from .synth import GroundTruth, SynthConfig, generate
-from .trades import TradeTable, filter_active_firms
+from .trades import TradeTable, qualified_firms
 from .patches import NON_DIRECTIONAL, VARIABLES, PatchRecord
 
 REPORT_SCHEMA_VERSION = 1
@@ -149,7 +150,10 @@ def _write_json(path: Path, payload) -> None:
 def _read_json(path: Path):
     if not path.is_file():
         raise DataError(f"missing artifact {path}; run the producing stage first")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
@@ -241,15 +245,17 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
     """Validate the tape, compute per-firm activity, select qualifying firms."""
     if table is None:
         table = _load_table(config)
-    qualified = filter_active_firms(
-        table,
+    tape = _tape_record(table)
+    activity = table.activity()
+    qualified = qualified_firms(
+        activity,
+        tape["span"],
         min_trades_per_year=config.min_trades_per_year,
         min_active_days=config.min_active_days,
         mode=config.activity_mode,
     )
-    activity = table.activity()
     payload = {
-        **_tape_record(table),
+        **tape,
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
         "qualified_firms": sorted(qualified),
@@ -604,10 +610,20 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             raise DataError(f"missing artifact {exponents_path}; run the analyze stage first")
         firm_values: dict[str, list[float]] = {"g1": [], "g2": [], "g3": []}
         with open(exponents_path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
+            reader = csv.DictReader(utf8_lines(exponents_path, handle))
             for record in reader:
-                for name in firm_values:
-                    firm_values[name].append(float(record[name]))
+                for name, vals in firm_values.items():
+                    text = record.get(name)
+                    try:
+                        value = float(text)  # type: ignore[arg-type]
+                    except (TypeError, ValueError):  # a missing or non-numeric field
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{exponents_path}: line {reader.line_num}: {name} must be a finite "
+                            f"number, got {text!r}"
+                        )
+                    vals.append(value)
         for name, vals in firm_values.items():
             path = stock_out / f"hist_{name}.csv"
             if vals:

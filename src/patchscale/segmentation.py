@@ -44,9 +44,6 @@ _SCAN_CHUNK = 1 << 14
 # sums; shorter ones are scanned together, at a higher cost per split that
 # their shared fixed overhead more than repays.
 _LONG_SPLITS = 1 << 11
-# Up to this many windows are scanned, and (t, n) pairs scored, one at a
-# time, which then costs less than the fixed overhead of a batch.
-_FEW = 4
 # What segment_many tallies: every window scanned either becomes an accepted
 # cut or is rejected by the threshold or by the neighbour test, and its max t
 # is scored by the Monte Carlo null or by the closed form.
@@ -70,26 +67,19 @@ class Segmentation:
 def _pooled_t(sum_left, sq_left, sum_right, sq_right, n_left, n_right, n):
     """Pooled-variance two-sample t from each side's sum, sum of squares and count.
 
-    n is the window length n_left + n_right.  Works on scalars and,
-    elementwise, on arrays.  Rounding can leave a side's sum of squared
-    deviations slightly below zero; it counts as zero.  When the pooled
-    variance vanishes, t is +inf for distinct means and 0.0 for equal means
-    (a deterministic step is maximally significant).
+    Elementwise over arrays; n is the window length n_left + n_right.
+    Rounding can leave a side's sum of squared deviations slightly below
+    zero; it counts as zero.  When the pooled variance vanishes, t is +inf
+    for distinct means and 0.0 for equal means (a deterministic step is
+    maximally significant).
     """
     ss_left = sq_left - sum_left * sum_left / n_left
     ss_right = sq_right - sum_right * sum_right / n_right
     diff = abs(sum_left / n_left - sum_right / n_right)
-    # ss * (ss > 0.0) is max(ss, 0.0) up to the sign of a zero, and unlike
-    # np.maximum it costs no ufunc call on a scalar.
+    # ss * (ss > 0.0) is max(ss, 0.0) up to the sign of a zero.
     denom_sq = (ss_left * (ss_left > 0.0) + ss_right * (ss_right > 0.0)) / (n - 2) * (
         1.0 / n_left + 1.0 / n_right
     )
-    if np.ndim(denom_sq) == 0:
-        # A few neighbour tests: errstate and masking would cost more than
-        # the statistic itself.
-        if denom_sq <= 0.0:
-            return float("inf") if diff > 0.0 else 0.0
-        return diff / np.sqrt(denom_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = diff / np.sqrt(denom_sq)
     degenerate = denom_sq <= 0.0
@@ -144,15 +134,14 @@ def _scan(sums, sq_sums, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
     """Position and value of the maximum t over all admissible splits of each window.
 
     lo and hi are int64 arrays of windows [lo, hi) of the flat prefix sums,
-    each at least 4 rows long.  A window of more than _LONG_SPLITS splits,
-    or any of at most _FEW windows, is scanned on its own, which needs no
-    per-split window values; the others are scanned together in runs of
-    about _SCAN_CHUNK splits.
+    each at least 4 rows long.  A window of more than _LONG_SPLITS splits is
+    scanned on its own, which needs no per-split window values; the others
+    are scanned together in runs of about _SCAN_CHUNK splits.
     """
     cut = np.empty(len(lo), dtype=np.int64)
     t = np.empty(len(lo))
     count = hi - lo - 3
-    alone = count > (_LONG_SPLITS if len(lo) > _FEW else -1)
+    alone = count > _LONG_SPLITS
     for i in np.flatnonzero(alone).tolist():
         cut[i], t[i] = _scan_long(sums, sq_sums, int(lo[i]), int(hi[i]))
     short = np.flatnonzero(~alone)
@@ -195,18 +184,11 @@ def significance(t_max: float, n: int) -> float:
         raise ValueError(f"n must be >= 4, got {n}")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    nu = n - 2
-    eta = _eta(n)
-    if eta <= 0.0:
-        return 1.0
-    if np.isinf(t_max):
-        return 1.0
-    x = nu / (nu + t_max * t_max)
-    return _power(float(_betainc()(DELTA * nu, DELTA, x)), eta)
+    return float(_significance_closed_form(np.array([t_max], dtype=np.float64), np.array([n]))[0])
 
 
 def _significance_closed_form(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """significance(t, n) for each pair, with one betainc call over the pairs."""
+    """Closed-form significance of each pair (t[i], n[i]), with one betainc call over the pairs."""
     p = np.ones(len(t))
     etas = [_eta(k) for k in n.tolist()]
     live = np.flatnonzero(np.isfinite(t) & (np.array(etas) > 0.0))
@@ -263,14 +245,11 @@ def significance_mc(
         raise ValueError(f"n must be >= 4, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if np.isinf(t_max) and t_max > 0:
-        return 1.0
-    table = _null_table(n, trials, seed)
-    return float(np.searchsorted(table, t_max, side="right")) / trials
+    return float(_significance_null(np.array([t_max], dtype=np.float64), np.array([n]), trials, seed)[0])
 
 
 def _significance_null(t: np.ndarray, n: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """significance_mc(t, n, trials, seed) for each pair, one lookup per distinct n."""
+    """Monte Carlo significance of each pair (t[i], n[i]), one table lookup per distinct n."""
     p = np.ones(len(t))
     finite = np.flatnonzero(t != np.inf)
     sizes = n[finite]
@@ -304,19 +283,8 @@ class SignificancePolicy:
             return np.ones(len(n), dtype=bool)
         return n < self.small_n_mc
 
-    def significance(self, t_value: float, n: int) -> float:
-        if self.mode == "monte-carlo" or n < self.small_n_mc:
-            return significance_mc(t_value, n, self.mc_trials, self.seed)
-        return significance(t_value, n)
-
     def significance_many(self, t: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """significance(t[i], n[i]) for two aligned arrays, n int64 and all >= 4.
-
-        Equal element for element; up to _FEW pairs take the scalar path,
-        which is then the cheaper one.
-        """
-        if len(t) <= _FEW:
-            return np.array([self.significance(*pair) for pair in zip(t.tolist(), n.tolist())])
+        """Significance of each pair (t[i], n[i]), n int64 and all >= 4, routed by uses_null."""
         p = np.empty(len(t))
         null = self.uses_null(n)
         if null.any():
@@ -470,37 +438,25 @@ def _segment_group(group, threshold, policy, counts) -> list[Segmentation]:
 def _neighbours_pass(popped, boundaries, sums, sq_sums, threshold, policy) -> list[bool]:
     """Whether each popped cut's new segments differ significantly from their neighbours.
 
-    The left test comes first; the right one is made only where the left
-    one passed or was skipped.
+    A cut is tested against the segment before its window and the one after
+    it, where there is one, and is accepted iff every test it has passes.
+    No test's outcome depends on another's, so all are scored in one batch.
     """
-    left, right = [], []
+    tests = []
     for slot, (k, lo, hi, cut) in enumerate(popped):
         bounds = boundaries[k]
         at = bisect_right(bounds, lo) - 1
         if at > 0:
             prev = bounds[at - 1]
             if lo - prev >= 2 and cut - lo >= 2:
-                left.append((slot, prev, lo, cut))
+                tests.append((slot, prev, lo, cut))
         at = bisect_right(bounds, hi) - 1
         if at < len(bounds) - 1:
             nxt = bounds[at + 1]
             if nxt - hi >= 2 and hi - cut >= 2:
-                right.append((slot, cut, hi, nxt))
+                tests.append((slot, cut, hi, nxt))
     accepted = [True] * len(popped)
-    if len(left) + len(right) <= _FEW:
-        for slot, lo, mid, hi in left + right:
-            if accepted[slot]:
-                t = _pooled_t(
-                    sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo],
-                    sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid],
-                    mid - lo, hi - mid, hi - lo,
-                )
-                accepted[slot] = policy.significance(t, hi - lo) >= threshold
-        return accepted
-    for tests in (left, right):
-        tests = [test for test in tests if accepted[test[0]]]
-        if not tests:
-            continue
+    if tests:
         slot, lo, mid, hi = np.array(tests, dtype=np.int64).T
         sum_left, sq_left = sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo]
         sum_right, sq_right = sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid]

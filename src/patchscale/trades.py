@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,29 +70,28 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _row_error(path: str | Path, fields: list[str], line_no: int) -> DataError:
-    """The error naming the file, the line and the fault of a malformed trade-CSV row."""
-    where = f"{path}: line {line_no}"
+def _parse_row(path: str | Path, fields: list[str], line_no: int) -> tuple[int, int, float]:
+    """A trade-CSV row's timestamp, sign and value; DataError naming the file, the line and the fault."""
     if len(fields) != 5:
-        return DataError(f"{where}: expected 5 fields, got {len(fields)}")
+        raise DataError(f"{path}: line {line_no}: expected 5 fields, got {len(fields)}")
     raw_ts, _, _, side, raw_value = fields
     try:
         timestamp = int(raw_ts)
     except ValueError:
-        return DataError(f"{where}: bad timestamp {raw_ts!r}")
+        raise DataError(f"{path}: line {line_no}: bad timestamp {raw_ts!r}") from None
     if timestamp < 0:
-        return DataError(f"{where}: negative timestamp {timestamp}")
+        raise DataError(f"{path}: line {line_no}: negative timestamp {timestamp}")
     if side not in (BUY, SELL):
-        return DataError(f"{where}: side must be B or S, got {side!r}")
+        raise DataError(f"{path}: line {line_no}: side must be B or S, got {side!r}")
     try:
         value = float(raw_value)
     except ValueError:
-        return DataError(f"{where}: bad value {raw_value!r}")
+        raise DataError(f"{path}: line {line_no}: bad value {raw_value!r}") from None
     if not math.isfinite(value):
-        return DataError(f"{where}: value must be finite, got {raw_value}")
+        raise DataError(f"{path}: line {line_no}: value must be finite, got {raw_value}")
     if not value > 0:
-        return DataError(f"{where}: value must be strictly positive, got {raw_value}")
-    return DataError(f"{where}: malformed row")
+        raise DataError(f"{path}: line {line_no}: value must be strictly positive, got {raw_value}")
+    return timestamp, 1 if side == BUY else -1, value
 
 
 def _csv_cells(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -354,23 +353,11 @@ class TradeTable:
             if tuple(header) != TRADE_CSV_HEADER:
                 raise DataError(f"{path}: bad header {header!r}")
             for line_no, fields in enumerate(reader, start=2):
-                try:
-                    timestamp = int(fields[0])
-                    value = float(fields[4])
-                    ok = (
-                        len(fields) == 5
-                        and timestamp >= 0
-                        and 0.0 < value < math.inf
-                        and fields[3] in (BUY, SELL)
-                    )
-                except (ValueError, IndexError):
-                    ok = False
-                if not ok:
-                    raise _row_error(path, fields, line_no)
+                timestamp, sign, value = _parse_row(path, fields, line_no)
                 timestamps.append(timestamp)
                 firm_ids.append(fields[1])
                 stock_ids.append(fields[2])
-                signs.append(1 if fields[3] == BUY else -1)
+                signs.append(sign)
                 values.append(value)
         return cls.from_rows(timestamps, firm_ids, stock_ids, signs, values)
 
@@ -522,7 +509,7 @@ class TradeTable:
         return int(self.timestamps.min()), int(self.timestamps.max())
 
 
-def _year_coverage(span: tuple[int, int], year: int) -> float:
+def _year_coverage(span: Sequence[int], year: int) -> float:
     year_start = (date(year, 1, 1).toordinal() - _EPOCH_ORDINAL) * _SECONDS_PER_DAY
     year_end = (date(year + 1, 1, 1).toordinal() - _EPOCH_ORDINAL) * _SECONDS_PER_DAY
     lo = max(span[0], year_start)
@@ -546,12 +533,24 @@ def filter_active_firms(
     for partial years at the dataset boundaries; mode="strict" applies them
     unscaled.
     """
+    span = table.span() if len(table) else None
+    return qualified_firms(table.activity(), span, min_trades_per_year, min_active_days, mode=mode)
+
+
+def qualified_firms(
+    activity: dict[str, FirmActivity],
+    span: Sequence[int] | None,
+    min_trades_per_year: int,
+    min_active_days: int,
+    *,
+    mode: str = "strict",
+) -> set[str]:
+    """The firms of a tape's activity mapping that filter_active_firms selects.
+
+    span is the tape's time span, None for an empty tape.
+    """
     if mode not in ("strict", "prorated"):
         raise ValueError(f"mode must be strict or prorated, got {mode!r}")
-    if len(table) == 0:
-        return set()
-    activity = table.activity()
-    span = table.span()
     dataset_years = sorted({year for a in activity.values() for year in a.trades_per_year})
     scale = {
         year: _year_coverage(span, year) if mode == "prorated" else 1.0

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,74 @@ def test_inconsistent_patch_row_is_data_error(small_run, tmp_path, capsys, direc
         csv.writer(handle, lineterminator="\n").writerows(rows)
     assert main(["analyze", "--output-dir", str(out)]) == EXIT_DATA
     assert f"patches.csv: line {index + 1}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "direction,changes",
+    [
+        ("buy", {"V_m": "nan", "V_b": "inf"}),
+        ("buy", {"V_m": "inf", "V_b": "inf"}),
+        ("sell", {"V_m": "-2.5", "V_s": "-2.5"}),
+        ("none", {"V_b": "nan"}),
+        ("none", {"V_s": "-1.0"}),
+        ("buy", {"T": "-1"}),
+        ("sell", {"start": "end"}),
+        ("buy", {"V_m": "V_s"}),
+        ("sell", {"V_m": "V_b"}),
+    ],
+)
+def test_meaningless_patch_row_is_data_error(small_run, tmp_path, capsys, direction, changes):
+    # A value naming another column copies that column's cell.
+    config, _ = small_run
+    with open(config.out() / "patches.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0]
+    index = next(i for i, row in enumerate(rows) if row[header.index("direction")] == direction)
+    row = dict(zip(header, rows[index]))
+    for column, value in changes.items():
+        rows[index][header.index(column)] = row.get(value, value)
+    out = tmp_path / "out"
+    out.mkdir()
+    with open(out / "patches.csv", "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    assert main(["analyze", "--output-dir", str(out)]) == EXIT_DATA
+    assert f"patches.csv: line {index + 1}: malformed patch row:" in capsys.readouterr().err
+
+
+# The settings of the small_run fixture that differ from the defaults.
+SMALL_RUN_FLAGS = ["--min-trades-per-year", "0", "--min-active-days", "0", "--bootstrap-samples", "400"]
+
+
+def test_corrupt_stage_record_is_data_error(small_run, tmp_path, capsys):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    (out / "segmentations.json").write_text('{"broken')
+    assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    assert f"{out / 'segmentations.json'}: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value,fault",
+    [
+        ("abc", "g2 must be a finite number, got 'abc'"),
+        ("nan", "g2 must be a finite number, got 'nan'"),
+        ("", "g2 must be a finite number, got ''"),
+        ("\udcff", "not valid UTF-8"),  # the byte 0xff
+    ],
+)
+def test_corrupt_per_firm_exponents_is_data_error(small_run, tmp_path, capsys, value, fault):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    path = out / "analysis" / "SYN" / "per_firm_exponents.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = value
+    lines[2] = ",".join(cells)
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    assert f"{path}: line 3: {fault}" in capsys.readouterr().err
 
 
 # Every flag of the README's Key settings table: (value given, RunConfig field, parsed value).

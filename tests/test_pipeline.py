@@ -25,6 +25,7 @@ from patchscale.pipeline import (
     run_synth,
 )
 from patchscale.synth import SynthConfig, small_preset
+from patchscale.trades import TradeTable, filter_active_firms
 
 EXPECTED_FILES = [
     "tape.csv",
@@ -312,6 +313,28 @@ def test_segment_only_covers_qualified_firms(tmp_path):
     run_segment(config, table)
     segments = json.loads((config.out() / "segmentations.json").read_text())
     assert {entry["firm_id"] for entry in segments["series"]} == qualified
+
+
+def test_ingest_reads_activity_once(tmp_path, monkeypatch):
+    config = RunConfig(
+        output_dir=str(tmp_path / "out"),
+        synth=SynthConfig(n_firms=20, packages_per_firm_mean=6.0, seed=11),
+        seed=11,
+        min_trades_per_year=300,
+        min_active_days=40,
+        activity_mode="prorated",
+        bootstrap_samples=400,
+    )
+    table, _ = run_synth(config)
+    calls = []
+    activity = TradeTable.activity
+    monkeypatch.setattr(TradeTable, "activity", lambda self: calls.append(1) or activity(self))
+    _, qualified = run_ingest(config, table)
+    assert len(calls) == 1
+    assert 0 < len(qualified) < 20
+    assert qualified == filter_active_firms(
+        table, min_trades_per_year=300, min_active_days=40, mode="prorated"
+    )
 
 
 def test_parse_k_policy():

@@ -5,6 +5,7 @@ from bisect import bisect_right, insort
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from conftest import make_series
 from patchscale import segmentation
@@ -57,13 +58,15 @@ class Prefix:
         self.sq_sums = np.concatenate(([0.0], np.cumsum(values * values)))
 
     def range_t(self, lo, mid, hi):
-        """t between [lo, mid) and [mid, hi), on the kernel's scalar path."""
+        """t between [lo, mid) and [mid, hi), as the kernel gives it for this one triple."""
         sums, sq_sums = self.sums, self.sq_sums
-        return _pooled_t(
+        lo, mid, hi = (np.array([i]) for i in (lo, mid, hi))
+        t = _pooled_t(
             sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo],
             sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid],
             mid - lo, hi - mid, hi - lo,
         )
+        return float(t[0])
 
     def scan(self, lo, hi):
         """Position and value of the maximum t over all splits of [lo, hi); ties to the smallest."""
@@ -81,8 +84,17 @@ class Prefix:
         return int(positions[best]), float(t[best])
 
 
+def score(policy, t_value, n):
+    """The policy's significance of one (t, n) pair."""
+    return float(policy.significance_many(np.array([t_value]), np.array([n]))[0])
+
+
 def oracle_segment(values, threshold=0.99, policy=None):
-    """The one-series recursion that segment_many runs in lockstep, kept as its oracle."""
+    """The one-series recursion that segment_many runs in lockstep, kept as its oracle.
+
+    Each cut's tests run in sequence, left neighbour before right, and stop
+    at the first that fails.
+    """
     policy = policy or SignificancePolicy()
     x = np.asarray(values, dtype=np.float64)
     n = len(x)
@@ -99,21 +111,21 @@ def oracle_segment(values, threshold=0.99, policy=None):
         if hi - lo < 4:
             continue
         position, t_value = prefix.scan(lo, hi)
-        if policy.significance(t_value, hi - lo) < threshold:
+        if score(policy, t_value, hi - lo) < threshold:
             continue
         left_at = bisect_right(boundaries, lo) - 1
         if left_at > 0:
             prev = boundaries[left_at - 1]
             if lo - prev >= 2 and position - lo >= 2:
                 t_neighbor = prefix.range_t(prev, lo, position)
-                if policy.significance(t_neighbor, position - prev) < threshold:
+                if score(policy, t_neighbor, position - prev) < threshold:
                     continue
         right_at = bisect_right(boundaries, hi) - 1
         if right_at < len(boundaries) - 1:
             nxt = boundaries[right_at + 1]
             if nxt - hi >= 2 and hi - position >= 2:
                 t_neighbor = prefix.range_t(position, hi, nxt)
-                if policy.significance(t_neighbor, nxt - position) < threshold:
+                if score(policy, t_neighbor, nxt - position) < threshold:
                     continue
         insort(boundaries, position)
         stack.append((position, hi))
@@ -177,8 +189,8 @@ def test_max_t_matches_t_statistic_oracle():
 
 
 def test_neighbour_t_matches_t_statistic_oracle():
-    # The neighbour test takes the kernel's scalar path for a few tests and
-    # its array path for many, degenerate cases included.
+    # One triple at a time or all at once, the kernel gives the same t,
+    # degenerate cases included.
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.normal(0.0, 1.0, 30), [2.0] * 6, [7.0] * 6])
     prefix = Prefix(x)
@@ -249,10 +261,10 @@ def test_policy_routes_short_windows_to_monte_carlo():
     policy = SignificancePolicy()
     n_short = SMALL_N_MC - 1
     expected = significance_mc(3.0, n_short, policy.mc_trials, policy.seed)
-    assert policy.significance(3.0, n_short) == expected
-    assert policy.significance(3.0, 100) == significance(3.0, 100)
+    assert score(policy, 3.0, n_short) == expected
+    assert score(policy, 3.0, 100) == significance(3.0, 100)
     mc_policy = SignificancePolicy(mode="monte-carlo", mc_trials=2000)
-    assert mc_policy.significance(3.0, 100) == significance_mc(3.0, 100, 2000, DEFAULT_MC_SEED)
+    assert score(mc_policy, 3.0, 100) == significance_mc(3.0, 100, 2000, DEFAULT_MC_SEED)
 
 
 def test_policy_rejects_unknown_mode():
@@ -425,25 +437,46 @@ def test_batched_scan_equals_oracle_scan(monkeypatch):
     assert batched_scan(x, [(100, 106)]) == [(102, oracle.scan(100, 106)[1])]
 
 
+def closed_form_oracle(t_value, n):
+    """The closed-form significance of one pair: scipy's betainc and Python's power."""
+    eta = float(4.19 * np.log(n) - 11.54)
+    if eta <= 0.0 or t_value == np.inf:
+        return 1.0
+    nu = n - 2
+    i_value = float(betainc(0.4 * nu, 0.4, nu / (nu + t_value * t_value)))
+    return min(max((1.0 - i_value) ** eta, 0.0), 1.0)
+
+
+def null_oracle(t_value, n, trials):
+    """The Monte Carlo significance of one pair: the share of the null table at or below t."""
+    if t_value == np.inf:
+        return 1.0
+    table = segmentation._null_table(n, trials, DEFAULT_MC_SEED)
+    return int(np.searchsorted(table, t_value, side="right")) / trials
+
+
 def test_significance_many_equals_scalar_paths():
     t_values = [0.0, 1e-3, 0.7, 2.0, 3.3, 4.5, 8.0, 40.0, np.inf]
     n_values = [4, 5, 7, 11, 15, 16, 19, 20, 21, 33, 64, 100, 257, 999, 1000, 2500, 4999, 5000]
-    t, n = (np.array(column) for column in zip(*[(a, b) for a in t_values for b in n_values]))
+    pairs = [(a, b) for a in t_values for b in n_values]
+    t, n = (np.array(column) for column in zip(*pairs))
     # eta <= 0 below n = 16: the closed form saturates at 1.
-    assert _significance_closed_form(t, n).tolist() == [significance(a, b) for a, b in zip(t, n)]
+    closed = [closed_form_oracle(a, b) for a, b in pairs]
+    assert _significance_closed_form(t, n).tolist() == closed
+    assert [significance(a, b) for a, b in pairs] == closed
     assert _significance_closed_form(np.array([0.0] * 5), np.arange(4, 9)).tolist() == [1.0] * 5
+    short = n < 200  # keeps the Monte Carlo tables small
+    null = [null_oracle(a, b, 300) for a, b in zip(t[short], n[short])]
+    assert [significance_mc(a, b, 300, DEFAULT_MC_SEED) for a, b in zip(t[short], n[short])] == null
     for policy in (SignificancePolicy(mc_trials=300), SignificancePolicy("monte-carlo", 300)):
-        short = n < 200  # keeps the Monte Carlo tables small
-        many = policy.significance_many(t[short], n[short])
-        assert many.tolist() == [policy.significance(a, b) for a, b in zip(t[short], n[short])]
-        null = [significance_mc(a, b, 300, DEFAULT_MC_SEED) for a, b in zip(t[short], n[short])]
         routed = policy.uses_null(n[short])
-        assert many[routed].tolist() == [p for p, r in zip(null, routed) if r]
+        expected = [p if r else q for p, q, r in zip(null, np.array(closed)[short], routed)]
+        assert policy.significance_many(t[short], n[short]).tolist() == expected
     # t equal to entries of the null table itself: a tie counts as covered.
     table = segmentation._null_table(11, 300, DEFAULT_MC_SEED)
     t_tied = table[[0, 1, 150, 299, 299, 42]]
     many = SignificancePolicy(mc_trials=300).significance_many(t_tied, np.full(6, 11))
-    assert many.tolist() == [significance_mc(a, 11, 300, DEFAULT_MC_SEED) for a in t_tied]
+    assert many.tolist() == [null_oracle(a, 11, 300) for a in t_tied]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
