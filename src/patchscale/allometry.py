@@ -2,17 +2,18 @@
 
 Slopes are ratios of leading-eigenvector components of the covariance
 matrix of natural logs, with percentile-bootstrap confidence intervals.
-Each fit draws one set of row resamples, shared by its three exponents.  A
-resample is held as counts, how often it drew each distinct row, so its
-covariance comes from count-weighted moments (Efron & Tibshirani 1993); a
-resample that drew a single distinct row is marked degenerate exactly and
-fails, whatever the rounding of its moments.
+Each fit draws one set of row resamples, shared by its three exponents, and
+the pipeline shares one set between a stock's two fits.  A resample is held
+as counts, how often it drew each distinct row, so its covariance comes from
+count-weighted moments (Efron & Tibshirani 1993); a resample that drew a
+single distinct row is marked degenerate exactly and fails, whatever the
+rounding of its moments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,7 +23,10 @@ from .patches import DEFAULT_MIN_FIRM_PATCHES, VARIABLES, PatchRecord, variables
 DEFAULT_BOOTSTRAP_SAMPLES = 1000
 _EIGENVALUE_TIE_RTOL = 1e-12
 _MAX_ESTIMATOR_FAILURES = 0.01
-_BOOTSTRAP_CHUNK_CELLS = 5_000_000
+# Row indices drawn per chunk, at most.  A chunk holds its int64 draws and
+# then its float64 counts, ~4 MiB each at this size: below the segment
+# stage's peak memory, where 2^20 set the pipeline's peak, and as fast.
+_BOOTSTRAP_CHUNK_CELLS = 1 << 19
 
 # The (x, y) log-point columns of each pairwise exponent: y ~ x^g.  Columns
 # are (ln T, ln N_m, ln V_m), the order of patches.VARIABLES.
@@ -141,12 +145,15 @@ def pca3(points) -> AllometricFit:
 def _resampled_covariances(pts: np.ndarray, B: int, seed: int) -> np.ndarray:
     """(B, d, d) covariances of B seeded row resamples of an (m, d) point cloud.
 
-    Resamples are drawn in chunks of about _BOOTSTRAP_CHUNK_CELLS row indices
-    to bound memory; the draws depend only on seed, B and m.  Each chunk is
-    taken in count form: one bincount gives how often each distinct row was
-    drawn, and one matmul of those counts against the rows' first and second
-    moments, centred once on the full-sample mean, gives each resample's
-    E[x] and E[xx'], so cov = E[xx'] - E[x]E[x]'.  A resample that drew one
+    Resamples are drawn in chunks of at most _BOOTSTRAP_CHUNK_CELLS row
+    indices to bound memory; the draws depend only on seed, B and m.  Chunks
+    are of near-equal size, since BLAS may sum a much smaller last chunk's
+    product in another order and so give its covariances other last bits
+    than one whole chunk would.  Each chunk is taken in count form: one
+    bincount gives how often each distinct row was drawn, and one matmul of
+    those counts against the rows' first and second moments, centred once on
+    the full-sample mean, gives each resample's E[x] and E[xx'], so
+    cov = E[xx'] - E[x]E[x]'.  A resample that drew one
     distinct row m times has no spread, but the subtraction would leave
     rounding noise in place of its zero covariance; it is set to exactly zero
     so that _leading_axes fails it.
@@ -155,14 +162,15 @@ def _resampled_covariances(pts: np.ndarray, B: int, seed: int) -> np.ndarray:
         raise ValueError(f"B must be >= 200, got {B}")
     m, dims = pts.shape
     rng = np.random.default_rng(seed)
-    chunk = max(1, _BOOTSTRAP_CHUNK_CELLS // m)
+    chunks = -(-B // max(1, _BOOTSTRAP_CHUNK_CELLS // m))
     rows, labels = np.unique(pts, axis=0, return_inverse=True)
     n = len(rows)
     centered = rows - pts.mean(axis=0)
     moments = np.hstack([centered, (centered[:, :, None] * centered[:, None, :]).reshape(n, -1)])
     covs = np.empty((B, dims, dims))
-    for done in range(0, B, chunk):
-        size = min(chunk, B - done)
+    for i in range(chunks):
+        done = B * i // chunks
+        size = B * (i + 1) // chunks - done
         drawn = labels[rng.integers(0, m, size=(size, m))]
         drawn += n * np.arange(size)[:, None]
         counts = np.bincount(drawn.ravel(), minlength=size * n).reshape(size, n)
@@ -214,9 +222,16 @@ def trivariate_fit(
     The three CIs come from one set of B resamples; a resample fails for all
     three when its principal axis is not unique or has a_V = 0.
     """
+    pts = np.asarray(points, dtype=np.float64)
+    return _trivariate_fit(pts, B, seed, lambda: _resampled_covariances(pts, B, seed))
+
+
+def _trivariate_fit(
+    points, B: int, seed: int, resample: Callable[[], np.ndarray]
+) -> AllometricFit:
+    """trivariate_fit, with its resampled covariances from resample()."""
     fit = pca3(points)
-    covs = _resampled_covariances(np.asarray(points, dtype=np.float64), B, seed)
-    lead, failed = _leading_axes(covs)
+    lead, failed = _leading_axes(resample())
     a_t, a_n, a_v = lead.T
     failed |= a_v == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -247,6 +262,14 @@ def bivariate_fit(
     covariances.
     """
     pts = np.asarray(points, dtype=np.float64)
+    return _bivariate_fit(pts, B, seed, lambda: _resampled_covariances(pts, B, seed))
+
+
+def _bivariate_fit(
+    points, B: int, seed: int, resample: Callable[[], np.ndarray]
+) -> AllometricFit:
+    """bivariate_fit, with its resampled covariances from resample()."""
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (m, 3) points, got shape {pts.shape}")
     slopes: dict[str, float] = {}
@@ -259,7 +282,7 @@ def bivariate_fit(
         # points, so errors keep their order: each pair's point fit, then its
         # CI, pair by pair.
         if covs is None:
-            covs = _resampled_covariances(pts, B, seed)
+            covs = resample()
         lead, failed = _leading_axes(covs[:, columns][:, :, columns])
         with np.errstate(divide="ignore", invalid="ignore"):
             ci95s[name] = _percentile_ci(lead[:, 1] / lead[:, 0], failed)

@@ -101,14 +101,20 @@ def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
         raise ValueError("boundaries must be strictly increasing")
     values = series.signed_values
     timestamps = series.timestamps
+    # Each patch's buys and sells are contiguous slices of the series' buys
+    # and sells, in series order: the same elements, summed the same way as
+    # a masked patch slice.  buy_offset[i] counts the buys before row i.
+    buys = values > 0
+    buy_values, sell_values = values[buys], values[~buys]
+    buy_offset = np.concatenate(([0], np.cumsum(buys))).tolist()
     out = []
     # An overflowing sum is reported as the DataError below, not as a numpy warning.
     with np.errstate(over="ignore"):
         for start, end in zip(boundaries[:-1], boundaries[1:]):
-            chunk = values[start:end]
-            buys = chunk > 0
-            v_b = float(chunk[buys].sum())
-            v_s = float(0.0 - chunk[~buys].sum())  # not -sum: an all-buy patch has V_s = 0.0, not -0.0
+            b0, b1 = buy_offset[start], buy_offset[end]
+            v_b = float(buy_values[b0:b1].sum())
+            # not -sum: an all-buy patch has V_s = 0.0, not -0.0
+            v_s = float(0.0 - sell_values[start - b0 : end - b1].sum())
             if not math.isfinite(v_b + v_s):
                 raise DataError(
                     f"firm {series.firm_id!r}, stock {series.stock_id!r}: patch [{start}, {end}) "
@@ -123,8 +129,8 @@ def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
                     V_b=v_b,
                     V_s=v_s,
                     V=v_b + v_s,
-                    n_buy=int(buys.sum()),
-                    n_sell=int(end - start - buys.sum()),
+                    n_buy=b1 - b0,
+                    n_sell=int(end - start) - (b1 - b0),
                     t_first=int(timestamps[start]),
                     t_last=int(timestamps[end - 1]),
                 )

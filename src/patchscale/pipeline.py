@@ -4,7 +4,7 @@ Each stage reads and writes artifacts under one output directory so stages
 can be re-run independently:
 
     tape.csv, ground_truth.json        synth
-    activity.json                      ingest
+    activity.json, ingested/           ingest
     segmentations.json, patches.csv    segment
     analysis/<stock>/...               analyze
     report.json, report_*.csv, plots/  report
@@ -17,6 +17,8 @@ significance null ([seed, 2]) and the bootstrap ([seed, 3]).
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -45,6 +47,14 @@ STAGE_SETTINGS = {
     "activity.json": ("min_trades_per_year", "min_active_days", "activity_mode"),
     "segmentations.json": ("threshold", "significance_mode", "mc_trials", "theta", "seed"),
     "analysis/stocks.json": ("min_patch_trades", "k_policy", "bootstrap_samples", "min_firm_patches", "seed"),
+}
+# The tape's columns as ingest parsed them, saved under ingested/ with their dtypes.
+INGESTED_COLUMNS = {
+    "timestamps": np.int64,
+    "firm_codes": np.int32,
+    "stock_codes": np.int32,
+    "signs": np.int8,
+    "values": np.float64,
 }
 
 
@@ -187,10 +197,34 @@ def _write_record(config: RunConfig, artifact: str, payload: dict) -> None:
     _write_json(config.out() / artifact, {**settings, **payload})
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# Per recorded artifact, the stage that writes it and the keys later stages
+# index, each with a test of its value.
+_RECORD_KEYS = {
+    "activity.json": ("ingest", {
+        "n_trades": lambda v: isinstance(v, int),
+        "span": lambda v: v is None or isinstance(v, list),
+        "tape_sha256": _is_str,
+        "qualified_firms": lambda v: isinstance(v, list) and all(map(_is_str, v)),
+    }),
+    "segmentations.json": ("segment", {
+        "series": lambda v: isinstance(v, list)
+        and all(isinstance(e, dict) and _is_str(e.get("stock_id")) for e in v),
+    }),
+    "analysis/stocks.json": ("analyze", {
+        "stocks": lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
+    }),
+}
+
+
 def _read_records(config: RunConfig, before: str | None = None, required: tuple[str, ...] = ()) -> dict:
     """Read, by artifact, the records of the stages that run before the one
     writing before (of every stage when None): those that exist and the
-    required ones.  DataError unless config agrees with every setting they hold.
+    required ones.  DataError unless each is an object holding the keys later
+    stages index and config agrees with every setting it holds.
     """
     records = {}
     for artifact, names in STAGE_SETTINGS.items():
@@ -199,6 +233,12 @@ def _read_records(config: RunConfig, before: str | None = None, required: tuple[
         path = config.out() / artifact
         if artifact in required or path.is_file():
             records[artifact] = recorded = _read_json(path)
+            stage, keys = _RECORD_KEYS[artifact]
+            if not isinstance(recorded, dict):
+                raise DataError(f"{path}: expected a JSON object; run {stage} again")
+            for key, valid in keys.items():
+                if key not in recorded or not valid(recorded[key]):
+                    raise DataError(f"{path}: {key} is missing or malformed; run {stage} again")
             for name in names:
                 if name in recorded and recorded[name] != getattr(config, name):
                     raise DataError(
@@ -209,9 +249,15 @@ def _read_records(config: RunConfig, before: str | None = None, required: tuple[
 
 
 def _tape_path(config: RunConfig) -> Path:
-    if config.tape is not None:
-        return Path(config.tape)
-    return config.out() / "tape.csv"
+    path = Path(config.tape) if config.tape is not None else config.out() / "tape.csv"
+    if not path.is_file():
+        raise DataError(f"missing artifact {path}; run the synth stage or provide a tape")
+    return path
+
+
+def _sha256(path: Path) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
@@ -229,33 +275,102 @@ def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
     return table, truth
 
 
-def _load_table(config: RunConfig) -> TradeTable:
-    path = _tape_path(config)
-    if not path.is_file():
-        raise DataError(f"missing artifact {path}; run the synth stage or provide a tape")
-    return TradeTable.from_csv(path)
+def _write_ingested(config: RunConfig, table: TradeTable) -> None:
+    """Save the table's columns under ingested/, codes renumbered to number the sorted ids.
+
+    The numbering is the tape's, not the order a table was built in, so a
+    parsed tape and the synthetic table it was written from save the same bytes.
+    """
+    out = config.out() / "ingested"
+    out.mkdir(parents=True, exist_ok=True)
+    columns = {"timestamps": table.timestamps, "signs": table.signs, "values": table.values}
+    ids = {}
+    for kind, names, codes in (
+        ("firm", table.firms, table.firm_codes),
+        ("stock", table.stocks, table.stock_codes),
+    ):
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(names), dtype=np.int32)
+        rank[order] = np.arange(len(names), dtype=np.int32)
+        columns[f"{kind}_codes"] = rank[codes]
+        ids[f"{kind}s"] = [names[i] for i in order]
+    for name, dtype in INGESTED_COLUMNS.items():
+        # np.save, not savez: a zip member would carry the time it was written.
+        np.save(out / f"{name}.npy", columns[name].astype(dtype, copy=False))
+    _write_json(out / "ids.json", ids)
 
 
-def _tape_record(table: TradeTable) -> dict:
-    """What activity.json records of the tape ingest read: its row count and time span."""
-    return {"n_trades": len(table), "span": list(table.span()) if len(table) else None}
+def _load_ingested(config: RunConfig, activity: dict) -> TradeTable:
+    """The table ingest saved, once the tape is shown to be the one it read.
+
+    DataError, saying to run ingest, on another tape or on a missing or
+    malformed column.
+    """
+    tape = _tape_path(config)
+    digest = _sha256(tape)
+    if digest != activity["tape_sha256"]:
+        raise DataError(
+            f"{tape} has sha256 {digest}, but {config.out() / 'activity.json'} was written for "
+            f"{activity['n_trades']} trades spanning {activity['span']} of a tape with sha256 "
+            f"{activity['tape_sha256']}; run ingest on this tape first"
+        )
+    directory = config.out() / "ingested"
+    rerun = "run ingest on this tape again"
+    n = activity["n_trades"]
+    columns = {}
+    for name, dtype in INGESTED_COLUMNS.items():
+        path = directory / f"{name}.npy"
+        try:
+            column = np.load(path, allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise DataError(f"{path}: cannot load the ingested column ({exc}); {rerun}") from None
+        if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != (n,):
+            raise DataError(
+                f"{path}: expected {n} values of {np.dtype(dtype)}, got "
+                f"{getattr(column, 'shape', None)} of {getattr(column, 'dtype', None)}; {rerun}"
+            )
+        columns[name] = column
+    ids = _read_json(directory / "ids.json")
+    names = [ids.get(kind) if isinstance(ids, dict) else None for kind in ("firms", "stocks")]
+    if not all(isinstance(i, list) and all(map(_is_str, i)) and i == sorted(set(i)) for i in names):
+        raise DataError(f"{directory / 'ids.json'}: expected sorted distinct firm and stock ids; {rerun}")
+    firms, stocks = names
+    valid = {
+        "timestamps": columns["timestamps"] >= 0,
+        "firm_codes": (columns["firm_codes"] >= 0) & (columns["firm_codes"] < len(firms)),
+        "stock_codes": (columns["stock_codes"] >= 0) & (columns["stock_codes"] < len(stocks)),
+        "signs": (columns["signs"] == 1) | (columns["signs"] == -1),
+        "values": np.isfinite(columns["values"]) & (columns["values"] > 0),
+    }
+    for name, ok in valid.items():
+        if not ok.all():
+            raise DataError(f"{directory / name}.npy: {name} out of range; {rerun}")
+    return TradeTable(**columns, firms=firms, stocks=stocks)
 
 
 def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[TradeTable, set[str]]:
-    """Validate the tape, compute per-firm activity, select qualifying firms."""
+    """Validate the tape, compute per-firm activity, select qualifying firms.
+
+    Saves the parsed columns under ingested/ for segment, and records the
+    tape's sha256 in activity.json.
+    """
+    tape = _tape_path(config)
     if table is None:
-        table = _load_table(config)
-    tape = _tape_record(table)
+        table = TradeTable.from_csv(tape)
+    span = list(table.span()) if len(table) else None
     activity = table.activity()
     qualified = qualified_firms(
         activity,
-        tape["span"],
+        span,
         min_trades_per_year=config.min_trades_per_year,
         min_active_days=config.min_active_days,
         mode=config.activity_mode,
     )
+    _write_ingested(config, table)
     payload = {
-        **tape,
+        "n_trades": len(table),
+        "span": span,
+        "tape_sha256": _sha256(tape),
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
         "qualified_firms": sorted(qualified),
@@ -276,20 +391,14 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
 def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
     """Segment every qualifying series and export segmentations plus patches.
 
-    The patch CSV holds every cut segment; non-directional rows leave N_m
-    and V_m empty because no side dominates.
+    Without a table, segment loads the columns ingest saved, after checking
+    that the tape is the one ingest read; a table, when given, is the one
+    ingest was given.  The patch CSV holds every cut segment; non-directional
+    rows leave N_m and V_m empty because no side dominates.
     """
     activity = _read_records(config, "segmentations.json", required=("activity.json",))["activity.json"]
     if table is None:
-        table = _load_table(config)
-    tape = _tape_record(table)
-    ingested = {key: activity.get(key) for key in tape}
-    if tape != ingested:
-        raise DataError(
-            f"{_tape_path(config)} holds {tape['n_trades']} trades spanning {tape['span']}, "
-            f"but {config.out() / 'activity.json'} was written for {ingested['n_trades']} "
-            f"trades spanning {ingested['span']}; run ingest on this tape first"
-        )
+        table = _load_ingested(config, activity)
     qualified = set(activity["qualified_firms"])
     policy = segmentation.SignificancePolicy(
         mode=config.significance_mode,
@@ -469,16 +578,16 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
     points, skipped_log = allometry.log_points(directional)
     counts["patches_zero_duration"] = skipped_log
     allo: dict = {}
-    try:
-        tri = allometry.trivariate_fit(points, config.bootstrap_samples, bootstrap_seed)
-        allo["trivariate"] = _allometric_payload(tri)
-    except (NumericalError, ValueError) as exc:
-        allo["trivariate"] = {"status": "insufficient data", "reason": str(exc)}
-    try:
-        bi = allometry.bivariate_fit(points, config.bootstrap_samples, bootstrap_seed)
-        allo["bivariate"] = _allometric_payload(bi)
-    except (NumericalError, ValueError) as exc:
-        allo["bivariate"] = {"status": "insufficient data", "reason": str(exc)}
+    # Both fits take their CIs from one set of resamples, drawn when first asked for.
+    resample = functools.cache(
+        functools.partial(allometry._resampled_covariances, points, config.bootstrap_samples, bootstrap_seed)
+    )
+    for mode, fit in (("trivariate", allometry._trivariate_fit), ("bivariate", allometry._bivariate_fit)):
+        try:
+            payload = fit(points, config.bootstrap_samples, bootstrap_seed, resample)
+            allo[mode] = _allometric_payload(payload)
+        except (NumericalError, ValueError) as exc:
+            allo[mode] = {"status": "insufficient data", "reason": str(exc)}
 
     per_firm, pooled, jb_rows = _lognormality_sections(directional, config)
 
@@ -779,6 +888,7 @@ def run_pipeline(config: RunConfig) -> dict:
         table, _ = run_ingest(config, table)
         stage = "segment"
         run_segment(config, table)
+        table = None  # the later stages read artifacts only
         stage = "analyze"
         run_analyze(config)
         stage = "report"

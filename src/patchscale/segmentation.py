@@ -182,7 +182,7 @@ def significance(t_max: float, n: int) -> float:
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    if t_max < 0:
+    if not t_max >= 0:  # a NaN fails this too
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     return float(_significance_closed_form(np.array([t_max], dtype=np.float64), np.array([n]))[0])
 
@@ -245,6 +245,8 @@ def significance_mc(
         raise ValueError(f"n must be >= 4, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if math.isnan(t_max):
+        raise ValueError("t_max must not be NaN")
     return float(_significance_null(np.array([t_max], dtype=np.float64), np.array([n]), trials, seed)[0])
 
 

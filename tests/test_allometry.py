@@ -1,6 +1,7 @@
 """Major-axis slope fits in log space, bootstrap CIs, and per-firm exponents."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,30 @@ def test_each_fit_resamples_once(monkeypatch):
     assert calls == [((500, 3), 300, 3)]
     bivariate_fit(pts, B=300, seed=3)
     assert calls == [((500, 3), 300, 3)] * 2
+
+
+def test_bootstrap_memory_is_bounded():
+    # A paper-sized stock: B x m = 6e6 drawn row indices, drawn in chunks of
+    # at most 2^19 so that no more than two chunk-sized arrays are live.
+    pts = _noisy_cloud(seed=76, n=6_000)
+    tracemalloc.start()
+    try:
+        allometry._resampled_covariances(pts, 1000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_bootstrap_chunking_does_not_change_covariances(monkeypatch):
+    # 2^19 cells hold 247 resamples of 2,119 rows: four such chunks and a
+    # last one of 12 would give those 12 other last bits, since BLAS sums a
+    # small product in another order.  Five chunks of 200 give the bytes of one.
+    pts = _noisy_cloud(seed=77, n=2_119)
+    monkeypatch.setattr(allometry, "_BOOTSTRAP_CHUNK_CELLS", 10**9)
+    whole = allometry._resampled_covariances(pts, 1000, 2)
+    monkeypatch.setattr(allometry, "_BOOTSTRAP_CHUNK_CELLS", 2**19)
+    assert np.array_equal(allometry._resampled_covariances(pts, 1000, 2), whole)
 
 
 @pytest.mark.parametrize("fit", [trivariate_fit, bivariate_fit])

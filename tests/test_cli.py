@@ -7,6 +7,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import write_tape
@@ -334,6 +335,67 @@ def test_corrupt_stage_record_is_data_error(small_run, tmp_path, capsys):
     (out / "segmentations.json").write_text('{"broken')
     assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
     assert f"{out / 'segmentations.json'}: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "artifact,text,command",
+    [
+        ("segmentations.json", "[]", "report"),
+        ("segmentations.json", '{"series": 5}', "report"),
+        ("analysis/stocks.json", "[]", "report"),
+        ("activity.json", "[]", "segment"),
+    ],
+)
+def test_stage_record_of_the_wrong_shape_is_data_error(small_run, tmp_path, capsys, artifact, text, command):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    (out / artifact).write_text(text)
+    assert main([command, "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    assert f"{out / artifact}: " in capsys.readouterr().err
+
+
+def test_segment_refuses_another_tape_of_the_same_count_and_span(small_run, tmp_path, capsys):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    tape = out / "tape.csv"
+    lines = tape.read_text().splitlines(keepends=True)
+    cells = lines[100].split(",")
+    cells[3] = "S" if cells[3] == "B" else "B"  # one trade's side: same rows, same span
+    lines[100] = ",".join(cells)
+    tape.write_text("".join(lines))
+    segmentations = (out / "segmentations.json").read_bytes()
+    assert main(["segment", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    recorded = json.loads((out / "activity.json").read_text())
+    err = capsys.readouterr().err
+    assert f"was written for {recorded['n_trades']} trades spanning {recorded['span']}" in err
+    assert "run ingest on this tape first" in err
+    assert (out / "segmentations.json").read_bytes() == segmentations
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+@pytest.mark.parametrize(
+    "name,damage",
+    [
+        ("values.npy", lambda path: path.unlink()),
+        ("timestamps.npy", _truncate),
+        ("signs.npy", lambda path: np.save(path, np.load(path).astype(np.int64))),
+        ("firm_codes.npy", lambda path: np.save(path, np.load(path) + 1000)),
+        ("ids.json", lambda path: path.write_text('{"firms": [], "stocks": []}')),
+    ],
+)
+def test_bad_ingested_column_is_data_error(small_run, tmp_path, capsys, name, damage):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    damage(out / "ingested" / name)
+    assert main(["segment", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(out / "ingested") in err and "run ingest" in err
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import write_tape
+from patchscale import allometry, patches
 from patchscale.errors import DataError
 from patchscale.pipeline import (
     FAILURE_MARKER,
     STAGE_SETTINGS,
     RunConfig,
+    analyze_stock,
     config_from_dict,
     emit_plot_data,
     parse_k_policy,
@@ -335,6 +337,21 @@ def test_ingest_reads_activity_once(tmp_path, monkeypatch):
     assert qualified == filter_active_firms(
         table, min_trades_per_year=300, min_active_days=40, mode="prorated"
     )
+
+
+def test_analyze_draws_one_resample_set_per_stock(small_run, monkeypatch):
+    config, _ = small_run
+    calls = []
+    resample = allometry._resampled_covariances
+    monkeypatch.setattr(allometry, "_resampled_covariances", lambda *args: calls.append(1) or resample(*args))
+    rows = read_patch_rows(config.out() / "patches.csv")
+    fits = analyze_stock(rows, config, bootstrap_seed=5)["allometry"]
+    assert len(calls) == 1
+    # The shared draw is the one each fit makes alone.
+    points, _ = allometry.log_points(patches.select_directional(rows, config.min_patch_trades))
+    for mode, fit in (("trivariate", allometry.trivariate_fit), ("bivariate", allometry.bivariate_fit)):
+        alone = fit(points, config.bootstrap_samples, 5)
+        assert fits[mode]["ci95s"] == {name: list(ci) for name, ci in alone.ci95s.items()}
 
 
 def test_parse_k_policy():

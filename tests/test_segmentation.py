@@ -247,6 +247,14 @@ def test_significance_validation():
         significance(-0.5, 100)
 
 
+def test_significance_rejects_nan():
+    # NaN fails no `t < 0` test and would read as certain significance, 1.0.
+    with pytest.raises(ValueError, match="t_max"):
+        significance(np.nan, 100)
+    with pytest.raises(ValueError, match="t_max"):
+        significance_mc(np.nan, 10, 200, 1)
+
+
 def test_significance_mc_deterministic_and_bounded():
     a = significance_mc(2.5, 30, 2000, DEFAULT_MC_SEED)
     b = significance_mc(2.5, 30, 2000, DEFAULT_MC_SEED)
