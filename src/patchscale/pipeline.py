@@ -56,6 +56,8 @@ INGESTED_COLUMNS = {
     "signs": np.int8,
     "values": np.float64,
 }
+# Every file under ingested/; activity.json records the sha256 of each.
+INGESTED_FILES = (*(f"{name}.npy" for name in INGESTED_COLUMNS), "ids.json")
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,6 +210,8 @@ _RECORD_KEYS = {
         "n_trades": lambda v: isinstance(v, int),
         "span": lambda v: v is None or isinstance(v, list),
         "tape_sha256": _is_str,
+        "ingested_sha256": lambda v: isinstance(v, dict)
+        and sorted(v) == sorted(INGESTED_FILES) and all(map(_is_str, v.values())),
         "qualified_firms": lambda v: isinstance(v, list) and all(map(_is_str, v)),
     }),
     "segmentations.json": ("segment", {
@@ -275,8 +279,9 @@ def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
     return table, truth
 
 
-def _write_ingested(config: RunConfig, table: TradeTable) -> None:
-    """Save the table's columns under ingested/, codes renumbered to number the sorted ids.
+def _write_ingested(config: RunConfig, table: TradeTable) -> dict[str, str]:
+    """Save the table's columns under ingested/, codes renumbered to number the
+    sorted ids, and return each file's sha256.
 
     The numbering is the tape's, not the order a table was built in, so a
     parsed tape and the synthetic table it was written from save the same bytes.
@@ -298,13 +303,15 @@ def _write_ingested(config: RunConfig, table: TradeTable) -> None:
         # np.save, not savez: a zip member would carry the time it was written.
         np.save(out / f"{name}.npy", columns[name].astype(dtype, copy=False))
     _write_json(out / "ids.json", ids)
+    return {name: _sha256(out / name) for name in INGESTED_FILES}
 
 
 def _load_ingested(config: RunConfig, activity: dict) -> TradeTable:
-    """The table ingest saved, once the tape is shown to be the one it read.
+    """The table ingest saved, once the tape is shown to be the one it read
+    and every ingested/ file the one it wrote.
 
-    DataError, saying to run ingest, on another tape or on a missing or
-    malformed column.
+    DataError, saying to run ingest, on another tape or on a missing,
+    altered or malformed file.
     """
     tape = _tape_path(config)
     digest = _sha256(tape)
@@ -316,6 +323,17 @@ def _load_ingested(config: RunConfig, activity: dict) -> TradeTable:
         )
     directory = config.out() / "ingested"
     rerun = "run ingest on this tape again"
+    for name in INGESTED_FILES:
+        path, recorded = directory / name, activity["ingested_sha256"][name]
+        try:
+            digest = _sha256(path)
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read the ingested file ({exc}); {rerun}") from None
+        if digest != recorded:
+            raise DataError(
+                f"{path} has sha256 {digest}, but {config.out() / 'activity.json'} records "
+                f"{recorded}; {rerun}"
+            )
     n = activity["n_trades"]
     columns = {}
     for name, dtype in INGESTED_COLUMNS.items():
@@ -352,7 +370,7 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
     """Validate the tape, compute per-firm activity, select qualifying firms.
 
     Saves the parsed columns under ingested/ for segment, and records the
-    tape's sha256 in activity.json.
+    sha256 of the tape and of every ingested/ file in activity.json.
     """
     tape = _tape_path(config)
     if table is None:
@@ -366,11 +384,12 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
         min_active_days=config.min_active_days,
         mode=config.activity_mode,
     )
-    _write_ingested(config, table)
+    ingested = _write_ingested(config, table)
     payload = {
         "n_trades": len(table),
         "span": span,
         "tape_sha256": _sha256(tape),
+        "ingested_sha256": ingested,
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
         "qualified_firms": sorted(qualified),

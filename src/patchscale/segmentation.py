@@ -1,11 +1,14 @@
 """Recursive maximum-t segmentation of signed traded-value series.
 
 A window is split at the position maximizing the two-sample t statistic,
-provided the split's significance clears the acceptance threshold and the
-newly created segments remain significantly distinct from their existing
-neighbors.  Significance is the probability that an i.i.d. random sequence
-of the same length produces a maximum t no larger than the observed one,
-via either a closed-form approximation or a seeded Monte Carlo null.
+provided the split is significant at the acceptance threshold and the newly
+created segments remain significantly distinct from their existing
+neighbors.  The significance of a maximum t is the probability that an
+i.i.d. sequence of the same length n gives one no larger, from the closed
+form of Bernaola-Galvan et al. or from a seeded Monte Carlo null.  It rises
+with t, so every test compares t with a critical value t_crit(n, threshold):
+the closed form's is solved with numpy on a grid of lengths, the null's is
+an entry of the null table.
 
 Series are segmented in lockstep: every series keeps its own recursion, and
 each step scans the new windows of all series in one batch and scores their
@@ -22,6 +25,7 @@ from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
 from .trades import SignedSeries
 
 DELTA = 0.40
@@ -152,52 +156,150 @@ def _scan(sums, sq_sums, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
     return cut, t
 
 
-@functools.cache
-def _betainc():
-    # Imported on first use, once per process, so that only processes that
-    # score cuts in closed form load scipy.
-    from scipy.special import betainc
-
-    return betainc
-
-
-@functools.cache
-def _eta(n: int):
-    return 4.19 * np.log(n) - 11.54
-
-
-def _power(i_value: float, eta) -> float:
-    # Always a scalar power: a vectorized np.power can differ in the last bit.
-    p = (1.0 - i_value) ** eta
-    return float(min(max(p, 0.0), 1.0))
+# ln B(a, DELTA) takes ln Gamma(a + DELTA) - ln Gamma(a) from Stirling's
+# series, with the coefficients B_2k / (2k (2k - 1)), k = 1..6: good to ~2e-14
+# from a = 7.2 (n = 20) up, where a difference of math.lgamma values would
+# lose ~6 digits at a ~ 1e5.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_TINY = 1e-300
+# A pair whose t is this close (relative) to its grid bracket has t_crit solved
+# at its own n; the solver is good to ~1e-12.
+_MARGIN = 1e-9
+# The t_crit grid: points per octave from SMALL_N_MC, and the octaves built first.
+_PER_OCTAVE = 32
+_FIRST_OCTAVES = 8
 
 
-def significance(t_max: float, n: int) -> float:
-    """Closed-form P(max t <= t_max) for an i.i.d. sequence of length n.
+def _nonzero(v):
+    return np.where(np.abs(v) < _TINY, _TINY, v)
 
-    Approximation {1 - I_x(delta*nu, delta)}^eta with x = nu/(nu + t^2),
-    nu = n - 2, delta = 0.40, eta = 4.19 ln n - 11.54, clamped to [0, 1].
-    For n below ~16, eta is non-positive and the value saturates at 1;
-    prefer the Monte Carlo null for such short windows.
+
+def _lentz(p, q, x):
+    """The continued fraction of I_x(p, q) by modified Lentz (Numerical Recipes 6.4).
+
+    I_x(p, q) is x^p (1 - x)^q / (p B(p, q)) times the value returned, which
+    converges fast for x < (p + 1) / (p + q + 2).  Each element stops at its
+    own convergence, so its value does not depend on the others.
     """
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    if not t_max >= 0:  # a NaN fails this too
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    return float(_significance_closed_form(np.array([t_max], dtype=np.float64), np.array([n]))[0])
+    c = np.ones_like(x)
+    d = 1.0 / _nonzero(1.0 - (p + q) * x / (p + 1.0))
+    h = d
+    live = np.ones(len(x), dtype=bool)
+    for m in range(1, 1000):
+        even = m * (q - m) * x / ((p + 2 * m - 1) * (p + 2 * m))
+        odd = -(p + m) * (p + q + m) * x / ((p + 2 * m) * (p + 2 * m + 1))
+        for term in (even, odd):
+            d = 1.0 / _nonzero(1.0 + term * d)
+            c = _nonzero(1.0 + term / c)
+            h = np.where(live, h * d * c, h)
+        live &= np.abs(d * c - 1.0) > 1e-15
+        if not live.any():
+            return h
+    raise NumericalError("the continued fraction of I_x did not converge")
 
 
-def _significance_closed_form(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Closed-form significance of each pair (t[i], n[i]), with one betainc call over the pairs."""
-    p = np.ones(len(t))
-    etas = [_eta(k) for k in n.tolist()]
-    live = np.flatnonzero(np.isfinite(t) & (np.array(etas) > 0.0))
-    if len(live):
-        nu = n[live] - 2.0
-        t_live = t[live]
-        i_values = _betainc()(DELTA * nu, DELTA, nu / (nu + t_live * t_live))
-        p[live] = [_power(i, etas[k]) for i, k in zip(i_values.tolist(), live.tolist())]
-    return p
+def _ln_closed_form(w, nu):
+    """ln I_x(DELTA nu, DELTA) at x = nu / (nu + t^2) with t^2 = e^w, and its slope in w."""
+    s = np.exp(w)
+    a = DELTA * nu
+    ln_x = -np.log1p(s / nu)
+    ln_v = w - np.log(nu + s)  # ln(1 - x)
+    series = sum(c * ((a + DELTA) ** -(2 * k + 1) - a ** -(2 * k + 1)) for k, c in enumerate(_STIRLING))
+    ln_gamma_ratio = (a - 0.5) * np.log1p(DELTA / a) + DELTA * np.log(a + DELTA) - DELTA + series
+    ln_front = a * ln_x + DELTA * ln_v - math.lgamma(DELTA) + ln_gamma_ratio
+    # Past (a + 1) / (a + DELTA + 2) the fraction of I_x(a, DELTA) converges
+    # slowly, and 1 - I_{1-x}(DELTA, a) is taken instead.
+    flip = np.exp(ln_x) > (a + 1.0) / (a + DELTA + 2.0)
+    p = np.where(flip, DELTA, a)
+    fraction = _lentz(p, np.where(flip, a, DELTA), np.exp(np.where(flip, ln_v, ln_x)))
+    ln_part = ln_front + np.log(fraction / p)
+    ln_i = np.where(flip, np.log1p(-np.exp(ln_part)), ln_part)
+    # dI/dx = x^(a-1) (1-x)^(DELTA-1) / B and dx/dw = -x (1-x), so d ln I/dw = -front / I.
+    return ln_i, -np.exp(ln_front - ln_i)
+
+
+def _solve_t_crit(n: np.ndarray, theta: float) -> np.ndarray:
+    """The closed form's t_crit(n, theta) for each n >= SMALL_N_MC, to ~1e-12 relative.
+
+    t_crit^2 = nu (1/x* - 1) where I_x*(DELTA nu, DELTA) = 1 - theta^(1/eta):
+    Newton on ln I in w = ln t^2, each element from the same start and
+    stopping on its own, so a value does not depend on the other n solved.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    nu = n - 2.0
+    ln_y = np.log(-np.expm1(math.log(theta) / (4.19 * np.log(n) - 11.54)))
+    # I ~ e^(-0.4 t^2) far in the tail: a start within a few Newton steps of
+    # the root for thresholds from 0.05 to 1 - 1e-7.
+    w = np.log(2.5 * (1.0 - ln_y))
+    live = np.arange(len(n))
+    for _ in range(100):
+        ln_i, slope = _ln_closed_form(w[live], nu[live])
+        step = (ln_i - ln_y[live]) / slope
+        w[live] -= step
+        live = live[np.abs(step) > 1e-9]
+        if not len(live):
+            return np.exp(0.5 * w)
+    raise NumericalError(f"t_crit did not converge at threshold {theta}")
+
+
+class _CriticalT:
+    """The closed form's t_crit(n, theta) for one theta, from a grid with exact brackets.
+
+    t_crit is solved at integer n on a geometric grid of _PER_OCTAVE points
+    per octave from SMALL_N_MC, grown by octaves to cover the longest window.
+    Between two grid points where it is monotone, t_crit lies between their
+    values, so a pair is decided by that bracket unless its t is within
+    _MARGIN of it.  Such pairs, and those in an interval next to a turn of
+    t_crit (it falls with n over part of the range for theta >~ 0.997), have
+    t_crit solved at their own n.
+    """
+
+    def __init__(self, theta: float) -> None:
+        self.theta = theta
+        self.grid = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0)
+        self.solved: dict[int, float] = {}
+        self._grow(_FIRST_OCTAVES)
+
+    def _grow(self, octaves: int) -> None:
+        k = np.arange(octaves * _PER_OCTAVE + 1)
+        grid = np.unique(np.round(SMALL_N_MC * 2.0 ** (k / _PER_OCTAVE)).astype(np.int64))
+        # The old grid is a prefix of the new one.
+        new = grid[len(self.grid):]
+        values = _solve_t_crit(new, self.theta)
+        self.solved.update(zip(new.tolist(), values.tolist()))
+        self.grid, self.values = grid, np.concatenate([self.values, values])
+        rises = np.diff(self.values) > 0.0
+        turns = np.flatnonzero(rises[1:] != rises[:-1]) + 1
+        # interval i runs from grid[i] to grid[i + 1]; both sides of a turn are unsure.
+        self.unsure = np.zeros(len(grid) - 1, dtype=bool)
+        self.unsure[turns - 1] = self.unsure[turns] = True
+
+    def passes(self, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Whether t[i] >= t_crit(n[i]), n int64 and all >= SMALL_N_MC."""
+        longest = int(n.max())
+        # Keep a grid interval past the longest n, so that a turn at its end shows.
+        if self.grid[-2] < longest:
+            self._grow(math.ceil(math.log2(longest / SMALL_N_MC) + 1 / _PER_OCTAVE))
+        at = np.searchsorted(self.grid, n, side="right") - 1
+        left, right = self.values[at], self.values[at + 1]
+        sure = ~self.unsure[at]
+        ok = sure & (t >= np.maximum(left, right) * (1.0 + _MARGIN))
+        solve = ~ok & ~(sure & (t < np.minimum(left, right) * (1.0 - _MARGIN)))
+        if solve.any():
+            ok[solve] = t[solve] >= self._solved(n[solve])
+        return ok
+
+    def _solved(self, n: np.ndarray) -> np.ndarray:
+        missing = sorted(set(n.tolist()) - self.solved.keys())
+        if missing:
+            self.solved.update(zip(missing, _solve_t_crit(np.array(missing), self.theta).tolist()))
+        return np.array([self.solved[k] for k in n.tolist()])
+
+
+@functools.cache
+def _critical_t(theta: float) -> _CriticalT:
+    return _CriticalT(theta)
 
 
 def _max_t_rows(rows: np.ndarray) -> np.ndarray:
@@ -247,27 +349,52 @@ def significance_mc(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if math.isnan(t_max):
         raise ValueError("t_max must not be NaN")
-    return float(_significance_null(np.array([t_max], dtype=np.float64), np.array([n]), trials, seed)[0])
+    return int(np.searchsorted(_null_table(n, trials, seed), t_max, side="right")) / trials
 
 
-def _significance_null(t: np.ndarray, n: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """Monte Carlo significance of each pair (t[i], n[i]), one table lookup per distinct n."""
-    p = np.ones(len(t))
-    finite = np.flatnonzero(t != np.inf)
-    sizes = n[finite]
-    for size in np.unique(sizes).tolist():
-        at = finite[sizes == size]
-        p[at] = np.searchsorted(_null_table(size, trials, seed), t[at], side="right") / trials
-    return p
+def _null_rank(threshold: float, trials: int) -> int:
+    """The smallest c with c / trials >= threshold in floating point.
+
+    threshold * trials can itself round across an integer, so its ceiling
+    is only a start.
+    """
+    c = math.ceil(threshold * trials)
+    while c > 1 and (c - 1) / trials >= threshold:
+        c -= 1
+    while c / trials < threshold:
+        c += 1
+    return c
+
+
+def _passes_null(t: np.ndarray, n: np.ndarray, threshold: float, trials: int, seed: int) -> np.ndarray:
+    """Whether each pair's Monte Carlo significance reaches threshold, one table per distinct n.
+
+    The share of a sorted table at or below t reaches threshold iff
+    t >= table[c - 1], with c from _null_rank.  An infinite t always
+    passes and builds no table.
+    """
+    ok = t == np.inf
+    finite = np.flatnonzero(~ok)
+    sizes, where = np.unique(n[finite], return_inverse=True)
+    rank = _null_rank(threshold, trials) - 1
+    critical = np.array([_null_table(size, trials, seed)[rank] for size in sizes.tolist()])
+    ok[finite] = t[finite] >= critical[where]
+    return ok
 
 
 @dataclass(frozen=True, slots=True)
 class SignificancePolicy:
-    """How (t, n) pairs are converted to significance during segmentation.
+    """How segmentation decides that a window's max t is significant at a threshold.
 
-    mode "closed-form" uses the analytic approximation, except that windows
-    shorter than small_n_mc fall back to the Monte Carlo null, where the
-    approximation is unusable.  mode "monte-carlo" uses the null everywhere.
+    The significance of (t, n) is P(max t <= t) over i.i.d. sequences of
+    length n, and a cut needs it to reach the threshold theta.  mode
+    "closed-form" takes the approximation of Bernaola-Galvan et al. (PRL 87
+    (2001) 168105), {1 - I_x(delta nu, delta)}^eta with x = nu / (nu + t^2),
+    nu = n - 2, delta = 0.40 and eta = 4.19 ln n - 11.54, except that windows
+    shorter than small_n_mc take the Monte Carlo null, where eta is near or
+    below zero.  mode "monte-carlo" takes the seeded null everywhere.  Both
+    rise with t, so neither is computed as a probability: a pair passes iff
+    t >= t_crit(n, theta).
     """
 
     mode: str = "closed-form"
@@ -285,15 +412,15 @@ class SignificancePolicy:
             return np.ones(len(n), dtype=bool)
         return n < self.small_n_mc
 
-    def significance_many(self, t: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Significance of each pair (t[i], n[i]), n int64 and all >= 4, routed by uses_null."""
-        p = np.empty(len(t))
+    def passes(self, t: np.ndarray, n: np.ndarray, threshold: float) -> np.ndarray:
+        """Whether each pair (t[i], n[i]) is significant at threshold, n int64 and all >= 4."""
+        ok = np.empty(len(t), dtype=bool)
         null = self.uses_null(n)
         if null.any():
-            p[null] = _significance_null(t[null], n[null], self.mc_trials, self.seed)
+            ok[null] = _passes_null(t[null], n[null], threshold, self.mc_trials, self.seed)
         if not null.all():
-            p[~null] = _significance_closed_form(t[~null], n[~null])
-        return p
+            ok[~null] = _critical_t(threshold).passes(t[~null], n[~null])
+        return ok
 
 
 def _name(item, index: int) -> str:
@@ -405,7 +532,7 @@ def _segment_group(group, threshold, policy, counts) -> list[Segmentation]:
             windows = np.array([window[1:] for window in fresh], dtype=np.int64)
             lo, hi = windows[:, 0], windows[:, 1]
             cuts, t = _scan(sums, sq_sums, lo, hi)
-            passed = policy.significance_many(t, hi - lo) >= threshold
+            passed = policy.passes(t, hi - lo, threshold)
             tally["windows_scanned"] += len(fresh)
             tally["windows_monte_carlo"] += int(policy.uses_null(hi - lo).sum())
             tally["rejected_threshold"] += len(fresh) - int(passed.sum())
@@ -463,7 +590,7 @@ def _neighbours_pass(popped, boundaries, sums, sq_sums, threshold, policy) -> li
         sum_left, sq_left = sums[mid] - sums[lo], sq_sums[mid] - sq_sums[lo]
         sum_right, sq_right = sums[hi] - sums[mid], sq_sums[hi] - sq_sums[mid]
         t = _pooled_t(sum_left, sq_left, sum_right, sq_right, mid - lo, hi - mid, hi - lo)
-        for rejected in slot[policy.significance_many(t, hi - lo) < threshold].tolist():
+        for rejected in slot[~policy.passes(t, hi - lo, threshold)].tolist():
             accepted[rejected] = False
     return accepted
 

@@ -378,6 +378,11 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def _triple(path):
+    # Still finite, positive and of the right shape: only the recorded digest tells.
+    np.save(path, np.load(path) * 3)
+
+
 @pytest.mark.parametrize(
     "name,damage",
     [
@@ -385,6 +390,7 @@ def _truncate(path):
         ("timestamps.npy", _truncate),
         ("signs.npy", lambda path: np.save(path, np.load(path).astype(np.int64))),
         ("firm_codes.npy", lambda path: np.save(path, np.load(path) + 1000)),
+        ("values.npy", _triple),
         ("ids.json", lambda path: path.write_text('{"firms": [], "stocks": []}')),
     ],
 )

@@ -1,8 +1,8 @@
-"""Which processes load scipy: only the one that scores cuts in closed form."""
+"""No pipeline process loads scipy: numpy is the only runtime dependency."""
 
+import ast
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,25 +36,33 @@ def test_cli_import_loads_no_scipy():
     assert _probe() == []
 
 
-def test_only_segment_loads_scipy_and_never_stats(tmp_path):
+def test_no_stage_loads_scipy(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"synth": TINY_SYNTH, "bootstrap_samples": 200}))
     shared = ["--config", str(config), "--output-dir", str(tmp_path / "out")]
-    assert _probe("synth", *shared) == []
-    assert _probe("ingest", *shared) == []
-    segment_loaded = _probe("segment", "--significance-mode", "closed-form", *shared)
-    assert "scipy.special" in segment_loaded
-    assert not [m for m in segment_loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
-    assert _probe("analyze", *shared) == []
-    assert _probe("report", *shared) == []
+    for stage in ("synth", "ingest", "segment", "analyze", "report"):
+        assert _probe(stage, *shared) == [], stage
+    assert _probe("all", "--config", str(config), "--output-dir", str(tmp_path / "all")) == []
 
 
-def test_no_module_level_scipy_import_in_src():
-    pattern = re.compile(r"^(from|import) scipy")
-    offending = [
-        f"{path.name}:{number}"
-        for path in sorted((SRC / "patchscale").glob("*.py"))
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if pattern.match(line)
-    ]
+def _is_scipy(name) -> bool:
+    return isinstance(name, str) and (name == "scipy" or name.startswith("scipy."))
+
+
+def test_no_scipy_import_in_src():
+    # Any import statement, at any depth, and importlib or __import__ calls
+    # naming scipy.
+    offending = []
+    for path in sorted((SRC / "patchscale").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+                names = [node.args[0].value]
+            else:
+                continue
+            if any(map(_is_scipy, names)):
+                offending.append(f"{path.name}:{node.lineno}")
     assert offending == []

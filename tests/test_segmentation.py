@@ -1,11 +1,12 @@
 """Maximum-t statistics, significance gating, and recursive segmentation."""
 
+import functools
 import warnings
 from bisect import bisect_right, insort
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from conftest import make_series
 from patchscale import segmentation
@@ -14,12 +15,11 @@ from patchscale.segmentation import (
     SMALL_N_MC,
     SignificancePolicy,
     _max_t_rows,
+    _null_rank,
     _pooled_t,
     _scan,
-    _significance_closed_form,
     segment,
     segment_many,
-    significance,
     significance_mc,
 )
 
@@ -84,9 +84,35 @@ class Prefix:
         return int(positions[best]), float(t[best])
 
 
+def closed_form_oracle(t_value, n):
+    """The closed-form significance of one pair: scipy's betainc and Python's power."""
+    eta = float(4.19 * np.log(n) - 11.54)
+    if eta <= 0.0 or t_value == np.inf:
+        return 1.0
+    nu = n - 2
+    i_value = float(betainc(0.4 * nu, 0.4, nu / (nu + t_value * t_value)))
+    return min(max((1.0 - i_value) ** eta, 0.0), 1.0)
+
+
+def null_oracle(t_value, n, trials, seed=DEFAULT_MC_SEED):
+    """The Monte Carlo significance of one pair: the share of the null table at or below t."""
+    if t_value == np.inf:
+        return 1.0
+    table = segmentation._null_table(n, trials, seed)
+    return int(np.searchsorted(table, t_value, side="right")) / trials
+
+
 def score(policy, t_value, n):
-    """The policy's significance of one (t, n) pair."""
-    return float(policy.significance_many(np.array([t_value]), np.array([n]))[0])
+    """The significance of one (t, n) pair under the policy, from the oracles."""
+    if policy.uses_null(np.array([n]))[0]:
+        return null_oracle(t_value, n, policy.mc_trials, policy.seed)
+    return closed_form_oracle(t_value, n)
+
+
+def passes(policy, t_values, n, threshold):
+    """The policy's decisions for pairs of one length n."""
+    t = np.array(t_values, dtype=np.float64)
+    return policy.passes(t, np.full(len(t), n), threshold).tolist()
 
 
 def oracle_segment(values, threshold=0.99, policy=None):
@@ -210,21 +236,21 @@ def test_neighbour_t_matches_t_statistic_oracle():
 
 def test_significance_bounds_and_monotonicity():
     n = 200
-    values = [significance(t, n) for t in (0.0, 1.0, 2.0, 3.0, 4.0, 6.0)]
+    values = [closed_form_oracle(t, n) for t in (0.0, 1.0, 2.0, 3.0, 4.0, 6.0)]
     assert values[0] == 0.0
     assert all(0.0 <= v <= 1.0 for v in values)
     assert values == sorted(values)
-    assert significance(np.inf, n) == 1.0
+    assert closed_form_oracle(np.inf, n) == 1.0
 
 
 def test_significance_saturates_below_eta_crossover():
     # For very short windows the closed form degenerates to certainty.
-    assert significance(3.0, 15) == 1.0
+    assert closed_form_oracle(3.0, 15) == 1.0
 
 
-# Closed-form values pinned from when scipy.special was imported at module
-# level; the lazy import must leave every digit alone.  The tests above pin
-# the infinite-t and t = 0 branches.
+# Closed-form values pinned from when segmentation computed them with
+# scipy.special.betainc; the oracle the decisions are checked against keeps
+# every digit.  The tests above pin the infinite-t and t = 0 branches.
 PINNED_SIGNIFICANCE = [
     (0.0, 15, 1.0),  # eta <= 0: saturates even at t = 0
     (2.0, 16, 0.9939138517994626),
@@ -237,20 +263,18 @@ PINNED_SIGNIFICANCE = [
 
 @pytest.mark.parametrize("t_max, n, expected", PINNED_SIGNIFICANCE)
 def test_significance_pinned_values(t_max, n, expected):
-    assert significance(t_max, n) == expected
+    assert closed_form_oracle(t_max, n) == expected
 
 
 def test_significance_validation():
-    with pytest.raises(ValueError):
-        significance(1.0, 3)
-    with pytest.raises(ValueError):
-        significance(-0.5, 100)
+    with pytest.raises(ValueError, match="n must be"):
+        significance_mc(1.0, 3)
+    with pytest.raises(ValueError, match="trials must be"):
+        significance_mc(1.0, 10, 0)
 
 
 def test_significance_rejects_nan():
-    # NaN fails no `t < 0` test and would read as certain significance, 1.0.
-    with pytest.raises(ValueError, match="t_max"):
-        significance(np.nan, 100)
+    # NaN sorts after every table entry and would read as certain significance, 1.0.
     with pytest.raises(ValueError, match="t_max"):
         significance_mc(np.nan, 10, 200, 1)
 
@@ -266,13 +290,21 @@ def test_significance_mc_deterministic_and_bounded():
 
 
 def test_policy_routes_short_windows_to_monte_carlo():
-    policy = SignificancePolicy()
+    policy = SignificancePolicy(mc_trials=2000)
     n_short = SMALL_N_MC - 1
-    expected = significance_mc(3.0, n_short, policy.mc_trials, policy.seed)
-    assert score(policy, 3.0, n_short) == expected
-    assert score(policy, 3.0, 100) == significance(3.0, 100)
-    mc_policy = SignificancePolicy(mode="monte-carlo", mc_trials=2000)
-    assert score(mc_policy, 3.0, 100) == significance_mc(3.0, 100, 2000, DEFAULT_MC_SEED)
+    # Around the short window's null quantile, the null decides; the closed
+    # form would pass every t there (eta < 1 keeps its significance high).
+    critical = segmentation._null_table(n_short, 2000, DEFAULT_MC_SEED)[_null_rank(0.99, 2000) - 1]
+    below = np.nextafter(critical, 0.0)
+    assert passes(policy, [critical, below], n_short, 0.99) == [True, False]
+    assert closed_form_oracle(below, n_short) >= 0.99
+    # A long window is decided by the closed form in one mode, by the null in the other.
+    t_values = np.linspace(2.0, 5.0, 61)
+    closed = [closed_form_oracle(t, 100) >= 0.99 for t in t_values]
+    null = [null_oracle(t, 100, 2000) >= 0.99 for t in t_values]
+    assert closed != null
+    assert passes(policy, t_values, 100, 0.99) == closed
+    assert passes(SignificancePolicy(mode="monte-carlo", mc_trials=2000), t_values, 100, 0.99) == null
 
 
 def test_policy_rejects_unknown_mode():
@@ -445,46 +477,110 @@ def test_batched_scan_equals_oracle_scan(monkeypatch):
     assert batched_scan(x, [(100, 106)]) == [(102, oracle.scan(100, 106)[1])]
 
 
-def closed_form_oracle(t_value, n):
-    """The closed-form significance of one pair: scipy's betainc and Python's power."""
-    eta = float(4.19 * np.log(n) - 11.54)
-    if eta <= 0.0 or t_value == np.inf:
-        return 1.0
-    nu = n - 2
-    i_value = float(betainc(0.4 * nu, 0.4, nu / (nu + t_value * t_value)))
-    return min(max((1.0 - i_value) ** eta, 0.0), 1.0)
-
-
-def null_oracle(t_value, n, trials):
-    """The Monte Carlo significance of one pair: the share of the null table at or below t."""
-    if t_value == np.inf:
-        return 1.0
-    table = segmentation._null_table(n, trials, DEFAULT_MC_SEED)
-    return int(np.searchsorted(table, t_value, side="right")) / trials
-
-
-def test_significance_many_equals_scalar_paths():
+def test_passes_equals_oracle_decisions():
     t_values = [0.0, 1e-3, 0.7, 2.0, 3.3, 4.5, 8.0, 40.0, np.inf]
     n_values = [4, 5, 7, 11, 15, 16, 19, 20, 21, 33, 64, 100, 257, 999, 1000, 2500, 4999, 5000]
     pairs = [(a, b) for a in t_values for b in n_values]
     t, n = (np.array(column) for column in zip(*pairs))
-    # eta <= 0 below n = 16: the closed form saturates at 1.
-    closed = [closed_form_oracle(a, b) for a, b in pairs]
-    assert _significance_closed_form(t, n).tolist() == closed
-    assert [significance(a, b) for a, b in pairs] == closed
-    assert _significance_closed_form(np.array([0.0] * 5), np.arange(4, 9)).tolist() == [1.0] * 5
     short = n < 200  # keeps the Monte Carlo tables small
     null = [null_oracle(a, b, 300) for a, b in zip(t[short], n[short])]
     assert [significance_mc(a, b, 300, DEFAULT_MC_SEED) for a, b in zip(t[short], n[short])] == null
-    for policy in (SignificancePolicy(mc_trials=300), SignificancePolicy("monte-carlo", 300)):
-        routed = policy.uses_null(n[short])
-        expected = [p if r else q for p, q, r in zip(null, np.array(closed)[short], routed)]
-        assert policy.significance_many(t[short], n[short]).tolist() == expected
-    # t equal to entries of the null table itself: a tie counts as covered.
+    closed_policy, null_policy = SignificancePolicy(mc_trials=300), SignificancePolicy("monte-carlo", 300)
+    for threshold in (0.05, 0.5, 0.95, 0.99):
+        expected = [score(closed_policy, a, b) >= threshold for a, b in pairs]
+        assert closed_policy.passes(t, n, threshold).tolist() == expected
+        expected = [p >= threshold for p in null]
+        assert null_policy.passes(t[short], n[short], threshold).tolist() == expected
+
+
+def test_null_decisions_at_tied_table_entries():
+    # t equal to an entry of the null table: a tie counts as covered.
     table = segmentation._null_table(11, 300, DEFAULT_MC_SEED)
-    t_tied = table[[0, 1, 150, 299, 299, 42]]
-    many = SignificancePolicy(mc_trials=300).significance_many(t_tied, np.full(6, 11))
-    assert many.tolist() == [null_oracle(a, 11, 300) for a in t_tied]
+    t_tied = table[[0, 1, 150, 284, 285, 299, 42]]
+    t_values = np.concatenate([t_tied, np.nextafter(t_tied, 0.0), [0.0, np.inf]])
+    for threshold in (0.05, 0.5, 0.95, 0.99, 0.999):
+        expected = [null_oracle(a, 11, 300) >= threshold for a in t_values]
+        assert passes(SignificancePolicy(mc_trials=300), t_values, 11, threshold) == expected
+    # The critical entry itself passes; the value just below it does not.
+    critical = table[_null_rank(0.95, 300) - 1]
+    below = np.nextafter(critical, 0.0)
+    assert passes(SignificancePolicy(mc_trials=300), [critical, below], 11, 0.95) == [True, False]
+
+
+def test_null_rank_when_theta_times_trials_rounds_across_an_integer():
+    # 0.07 * 100 is 7.000000000000001, yet 7 / 100 >= 0.07: the ceiling, 8, is one too many.
+    assert 0.07 * 100 > 7 and 7 / 100 >= 0.07
+    assert _null_rank(0.07, 100) == 7
+    table = segmentation._null_table(12, 100, DEFAULT_MC_SEED)
+    t_values = [table[5], np.nextafter(table[6], 0.0), table[6], table[7]]
+    assert passes(SignificancePolicy(mc_trials=100), t_values, 12, 0.07) == [False, False, True, True]
+    assert [null_oracle(a, 12, 100) >= 0.07 for a in t_values] == [False, False, True, True]
+    for trials in (7, 100, 300, 10_000):
+        for theta in [0.07, 0.14, 0.29, 0.56, 0.57, *np.linspace(0.01, 0.999, 97).tolist()]:
+            assert _null_rank(theta, trials) == next(c for c in range(1, trials + 1) if c / trials >= theta)
+
+
+SWEEP_THETAS = [0.05, 0.5, 0.9, 0.95, 0.99, 0.997, 0.999, 0.9999, 1 - 1e-7]
+
+
+def critical_t_oracle(n, theta):
+    """t_crit(n, theta) from scipy's betaincinv: x* solves I_x*(0.4 nu, 0.4) = 1 - theta^(1/eta)."""
+    nu = n - 2.0
+    eta = 4.19 * np.log(n) - 11.54
+    x = betaincinv(0.4 * nu, 0.4, -np.expm1(np.log(theta) / eta))
+    return np.sqrt(nu * (1.0 / x - 1.0))
+
+
+@pytest.mark.parametrize("theta", SWEEP_THETAS)
+def test_passes_matches_scipy_at_critical_values(theta):
+    # n over [20, 2^18]: every n below 64, every grid octave's ends, random n
+    # in between, and every n in [20, 2000] at 0.999, whose t_crit falls from
+    # n = 27 and rises again later.  Pairs sit 1e-9, 1e-5 and 1e-2 (relative)
+    # on either side of scipy's t_crit, so both the bracket and the per-n solve decide some.
+    rng = np.random.default_rng(24)
+    octave_ends = SMALL_N_MC * 2 ** np.arange(14)
+    n = np.concatenate([
+        np.arange(SMALL_N_MC, 64), octave_ends, octave_ends - 1, octave_ends + 1, [1 << 18],
+        np.round(2.0 ** rng.uniform(np.log2(SMALL_N_MC), 18, 400)),
+    ])
+    if theta == 0.999:
+        n = np.concatenate([n, np.arange(SMALL_N_MC, 2001)])
+    n = np.unique(n[n >= SMALL_N_MC]).astype(np.int64)
+    t_ref = critical_t_oracle(n, theta)
+    # The solver is good to far better than the 1e-9 the pairs below resolve.
+    assert np.abs(segmentation._solve_t_crit(n, theta) / t_ref - 1.0).max() < 1e-11
+    factors = [1 - 1e-2, 1 - 1e-5, 1 - 1e-9, 1 + 1e-9, 1 + 1e-5, 1 + 1e-2]
+    t = np.concatenate([t_ref * f for f in factors])
+    n = np.tile(n, len(factors))
+    nu = n - 2.0
+    expected = (1.0 - betainc(0.4 * nu, 0.4, nu / (nu + t * t))) ** (4.19 * np.log(n) - 11.54) >= theta
+    # The oracle itself puts every pair on the side of t_crit it was placed on.
+    assert expected.tolist() == [f > 1 for f in factors for _ in range(len(t) // len(factors))]
+    policy = SignificancePolicy()
+    assert policy.passes(t, n, theta).tolist() == expected.tolist()
+    # Below SMALL_N_MC the null decides: its critical entry passes, the value below it fails.
+    rank = _null_rank(theta, policy.mc_trials) - 1
+    for short in range(4, SMALL_N_MC):
+        critical = segmentation._null_table(short, policy.mc_trials, policy.seed)[rank]
+        assert passes(policy, [critical, np.nextafter(critical, 0.0), 0.0, np.inf], short, theta) == [
+            True, False, False, True,
+        ]
+
+
+def test_critical_t_grid_grows_for_a_long_series(monkeypatch):
+    # A fresh table per threshold, so this series is the first to need more octaves.
+    monkeypatch.setattr(segmentation, "_critical_t", functools.cache(segmentation._CriticalT))
+    top = SMALL_N_MC << segmentation._FIRST_OCTAVES
+    rng = np.random.default_rng(25)
+    x = np.repeat(rng.normal(0.0, 0.5, 8), 1000) + rng.normal(size=8000)
+    assert len(x) > top
+    boundaries = segment(x).boundaries
+    table = segmentation._critical_t(0.99)
+    assert table.grid[-2] >= len(x) > top
+    assert len(boundaries) > 2
+    assert boundaries == oracle_segment(x)
+    # Grown an octave at a time or solved at once, each grid value is the same.
+    assert segmentation._solve_t_crit(table.grid, 0.99).tolist() == table.values.tolist()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
