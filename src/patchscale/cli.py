@@ -82,6 +82,8 @@ def _load_json_file(path: str) -> dict:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):

@@ -9,6 +9,10 @@ can be re-run independently:
     analysis/<stock>/...               analyze
     report.json, report_*.csv, plots/  report
 
+ingest sorts the qualifying firms' trades into (firm, stock) series once;
+ingested/ holds them laid end to end, and segment cuts them from there
+without the tape.  `all` hands ingest's series to segment in memory.
+
 Every stage is deterministic given the run config and seed; derived seeds
 feed the generator ([seed, 0] and [seed, 1, firm]), the Monte Carlo
 significance null ([seed, 2]) and the bootstrap ([seed, 3]).
@@ -19,7 +23,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import itertools
 import json
 import math
 import re
@@ -32,7 +35,7 @@ import numpy as np
 from . import allometry, lognormal, patches, segmentation, tails
 from .errors import DataError, NumericalError, utf8_lines
 from .synth import GroundTruth, SynthConfig, generate
-from .trades import TradeTable, qualified_firms
+from .trades import SeriesColumns, TradeTable, qualified_firms
 from .patches import NON_DIRECTIONAL, VARIABLES, PatchRecord
 
 REPORT_SCHEMA_VERSION = 1
@@ -48,16 +51,10 @@ STAGE_SETTINGS = {
     "segmentations.json": ("threshold", "significance_mode", "mc_trials", "theta", "seed"),
     "analysis/stocks.json": ("min_patch_trades", "k_policy", "bootstrap_samples", "min_firm_patches", "seed"),
 }
-# The tape's columns as ingest parsed them, saved under ingested/ with their dtypes.
-INGESTED_COLUMNS = {
-    "timestamps": np.int64,
-    "firm_codes": np.int32,
-    "stock_codes": np.int32,
-    "signs": np.int8,
-    "values": np.float64,
-}
+# The SeriesColumns arrays ingest saves under ingested/, beside series.json.
+INGESTED_ARRAYS = ("signed_values", "timestamps", "offsets")
 # Every file under ingested/; activity.json records the sha256 of each.
-INGESTED_FILES = (*(f"{name}.npy" for name in INGESTED_COLUMNS), "ids.json")
+INGESTED_FILES = (*(f"{name}.npy" for name in INGESTED_ARRAYS), "series.json")
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,8 +130,28 @@ def parse_k_policy(text: str) -> tuple[str, float | int | None]:
     raise ValueError(f"k policy must be auto, fraction:<f>, or fixed:<k>, got {text!r}")
 
 
+# The JSON values a config field takes, by its annotation; a bool is none of them.
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def _check_types(cls, data: dict, prefix: str = "") -> None:
+    """ValueError naming a key of data whose value is not of its cls field's JSON type."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    for name, value in data.items():
+        if name in annotations:  # unknown keys are refused by the caller
+            types, kind = _JSON_TYPES[annotations[name]]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config key {prefix}{name} must be {kind}, got {value!r}")
+
+
 def config_from_dict(payload: dict) -> RunConfig:
-    """Build a RunConfig from a plain JSON-style dict."""
+    """Build a RunConfig from a plain JSON-style dict; ValueError naming a key
+    of the wrong type."""
     data = dict(payload)
     synth_payload = data.pop("synth", None)
     synth_config = None
@@ -143,6 +160,7 @@ def config_from_dict(payload: dict) -> RunConfig:
     elif synth_payload is not None:
         if not isinstance(synth_payload, dict):
             raise ValueError("synth must be an object of generator settings")
+        _check_types(SynthConfig, synth_payload, "synth.")
         try:
             synth_config = SynthConfig(**synth_payload)
         except (TypeError, ValueError) as exc:
@@ -151,6 +169,7 @@ def config_from_dict(payload: dict) -> RunConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_types(RunConfig, data)
     return RunConfig(synth=synth_config, **data)
 
 
@@ -210,8 +229,7 @@ _RECORD_KEYS = {
         "n_trades": lambda v: isinstance(v, int),
         "span": lambda v: v is None or isinstance(v, list),
         "tape_sha256": _is_str,
-        "ingested_sha256": lambda v: isinstance(v, dict)
-        and sorted(v) == sorted(INGESTED_FILES) and all(map(_is_str, v.values())),
+        "ingested_sha256": lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
         "qualified_firms": lambda v: isinstance(v, list) and all(map(_is_str, v)),
     }),
     "segmentations.json": ("segment", {
@@ -279,39 +297,24 @@ def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
     return table, truth
 
 
-def _write_ingested(config: RunConfig, table: TradeTable) -> dict[str, str]:
-    """Save the table's columns under ingested/, codes renumbered to number the
-    sorted ids, and return each file's sha256.
-
-    The numbering is the tape's, not the order a table was built in, so a
-    parsed tape and the synthetic table it was written from save the same bytes.
-    """
+def _write_ingested(config: RunConfig, series: SeriesColumns) -> dict[str, str]:
+    """Save the series under ingested/ and return each file's sha256."""
     out = config.out() / "ingested"
     out.mkdir(parents=True, exist_ok=True)
-    columns = {"timestamps": table.timestamps, "signs": table.signs, "values": table.values}
-    ids = {}
-    for kind, names, codes in (
-        ("firm", table.firms, table.firm_codes),
-        ("stock", table.stocks, table.stock_codes),
-    ):
-        order = sorted(range(len(names)), key=names.__getitem__)
-        rank = np.empty(len(names), dtype=np.int32)
-        rank[order] = np.arange(len(names), dtype=np.int32)
-        columns[f"{kind}_codes"] = rank[codes]
-        ids[f"{kind}s"] = [names[i] for i in order]
-    for name, dtype in INGESTED_COLUMNS.items():
+    for name in INGESTED_ARRAYS:
         # np.save, not savez: a zip member would carry the time it was written.
-        np.save(out / f"{name}.npy", columns[name].astype(dtype, copy=False))
-    _write_json(out / "ids.json", ids)
+        np.save(out / f"{name}.npy", getattr(series, name))
+    pairs = json.dumps([list(pair) for pair in series.pairs], separators=(",", ":"))
+    (out / "series.json").write_text(pairs + "\n", encoding="utf-8")
     return {name: _sha256(out / name) for name in INGESTED_FILES}
 
 
-def _load_ingested(config: RunConfig, activity: dict) -> TradeTable:
-    """The table ingest saved, once the tape is shown to be the one it read
+def _load_ingested(config: RunConfig, activity: dict) -> SeriesColumns:
+    """The series ingest saved, once the tape is shown to be the one it read
     and every ingested/ file the one it wrote.
 
-    DataError, saying to run ingest, on another tape or on a missing,
-    altered or malformed file.
+    DataError, saying to run ingest, on another tape or on a missing or
+    altered file.
     """
     tape = _tape_path(config)
     digest = _sha256(tape)
@@ -324,7 +327,8 @@ def _load_ingested(config: RunConfig, activity: dict) -> TradeTable:
     directory = config.out() / "ingested"
     rerun = "run ingest on this tape again"
     for name in INGESTED_FILES:
-        path, recorded = directory / name, activity["ingested_sha256"][name]
+        # An activity.json of an older ingested/ layout records none of these files.
+        path, recorded = directory / name, activity["ingested_sha256"].get(name)
         try:
             digest = _sha256(path)
         except OSError as exc:
@@ -334,43 +338,19 @@ def _load_ingested(config: RunConfig, activity: dict) -> TradeTable:
                 f"{path} has sha256 {digest}, but {config.out() / 'activity.json'} records "
                 f"{recorded}; {rerun}"
             )
-    n = activity["n_trades"]
-    columns = {}
-    for name, dtype in INGESTED_COLUMNS.items():
-        path = directory / f"{name}.npy"
-        try:
-            column = np.load(path, allow_pickle=False)
-        except (OSError, ValueError, EOFError) as exc:
-            raise DataError(f"{path}: cannot load the ingested column ({exc}); {rerun}") from None
-        if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != (n,):
-            raise DataError(
-                f"{path}: expected {n} values of {np.dtype(dtype)}, got "
-                f"{getattr(column, 'shape', None)} of {getattr(column, 'dtype', None)}; {rerun}"
-            )
-        columns[name] = column
-    ids = _read_json(directory / "ids.json")
-    names = [ids.get(kind) if isinstance(ids, dict) else None for kind in ("firms", "stocks")]
-    if not all(isinstance(i, list) and all(map(_is_str, i)) and i == sorted(set(i)) for i in names):
-        raise DataError(f"{directory / 'ids.json'}: expected sorted distinct firm and stock ids; {rerun}")
-    firms, stocks = names
-    valid = {
-        "timestamps": columns["timestamps"] >= 0,
-        "firm_codes": (columns["firm_codes"] >= 0) & (columns["firm_codes"] < len(firms)),
-        "stock_codes": (columns["stock_codes"] >= 0) & (columns["stock_codes"] < len(stocks)),
-        "signs": (columns["signs"] == 1) | (columns["signs"] == -1),
-        "values": np.isfinite(columns["values"]) & (columns["values"] > 0),
-    }
-    for name, ok in valid.items():
-        if not ok.all():
-            raise DataError(f"{directory / name}.npy: {name} out of range; {rerun}")
-    return TradeTable(**columns, firms=firms, stocks=stocks)
+    # Each file is the one ingest wrote from a validated table.
+    arrays = {name: np.load(directory / f"{name}.npy", allow_pickle=False) for name in INGESTED_ARRAYS}
+    pairs = [tuple(pair) for pair in json.loads((directory / "series.json").read_text(encoding="utf-8"))]
+    return SeriesColumns(pairs, **arrays)
 
 
-def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[TradeTable, set[str]]:
+def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[SeriesColumns, set[str]]:
     """Validate the tape, compute per-firm activity, select qualifying firms.
 
-    Saves the parsed columns under ingested/ for segment, and records the
-    sha256 of the tape and of every ingested/ file in activity.json.
+    Sorts the qualified firms' trades into the series segment reads, saves
+    them under ingested/, and records the sha256 of the tape and of every
+    ingested/ file in activity.json.  Returns the series and the qualified
+    firms; the table is not kept.
     """
     tape = _tape_path(config)
     if table is None:
@@ -384,12 +364,12 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
         min_active_days=config.min_active_days,
         mode=config.activity_mode,
     )
-    ingested = _write_ingested(config, table)
+    series = table.series_columns(qualified)
     payload = {
         "n_trades": len(table),
         "span": span,
         "tape_sha256": _sha256(tape),
-        "ingested_sha256": ingested,
+        "ingested_sha256": _write_ingested(config, series),
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
         "qualified_firms": sorted(qualified),
@@ -404,21 +384,21 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Trad
         },
     }
     _write_record(config, "activity.json", payload)
-    return table, qualified
+    return series, qualified
 
 
-def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
+def run_segment(config: RunConfig, series: SeriesColumns | None = None) -> Path:
     """Segment every qualifying series and export segmentations plus patches.
 
-    Without a table, segment loads the columns ingest saved, after checking
-    that the tape is the one ingest read; a table, when given, is the one
-    ingest was given.  The patch CSV holds every cut segment; non-directional
-    rows leave N_m and V_m empty because no side dominates.
+    Without series, segment loads the ones ingest saved, after checking that
+    the tape is the one ingest read and every ingested/ file the one it
+    wrote; series, when given, are the ones run_ingest returned.  The patch
+    CSV holds every cut segment; non-directional rows leave N_m and V_m
+    empty because no side dominates.
     """
     activity = _read_records(config, "segmentations.json", required=("activity.json",))["activity.json"]
-    if table is None:
-        table = _load_ingested(config, activity)
-    qualified = set(activity["qualified_firms"])
+    if series is None:
+        series = _load_ingested(config, activity)
     policy = segmentation.SignificancePolicy(
         mode=config.significance_mode,
         mc_trials=config.mc_trials,
@@ -427,25 +407,19 @@ def run_segment(config: RunConfig, table: TradeTable | None = None) -> Path:
     exports = []
     records = []
     counts: dict[str, int] = {}
-    # tee holds the series that segment_many has read ahead, one group at most.
-    series_stream, to_segment = itertools.tee(
-        table.iter_series(qualified if len(qualified) < len(table.firms) else None)
-    )
-    segmented = segmentation.segment_many(
-        to_segment, config.threshold, policy=policy, counts=counts
-    )
-    for series, seg in zip(series_stream, segmented):
+    segmented = segmentation.segment_many(series, config.threshold, policy=policy, counts=counts)
+    for one, seg in zip(series, segmented):
         exports.append(
             {
-                "firm_id": series.firm_id,
-                "stock_id": series.stock_id,
+                "firm_id": one.firm_id,
+                "stock_id": one.stock_id,
                 "threshold": config.threshold,
                 "boundaries": list(seg.boundaries),
             }
         )
         records.extend(
             patches.record(patch, patches.classify(patch, config.theta))
-            for patch in patches.cut_patches(series, seg)
+            for patch in patches.cut_patches(one, seg)
         )
     _write_record(config, "segmentations.json", {"counts": counts, "series": exports})
     path = config.out() / "patches.csv"
@@ -904,10 +878,11 @@ def run_pipeline(config: RunConfig) -> dict:
             stage = "synth"
             table, _ = run_synth(config)
         stage = "ingest"
-        table, _ = run_ingest(config, table)
+        series, _ = run_ingest(config, table)
+        table = None
         stage = "segment"
-        run_segment(config, table)
-        table = None  # the later stages read artifacts only
+        run_segment(config, series)
+        series = None  # the later stages read artifacts only
         stage = "analyze"
         run_analyze(config)
         stage = "report"

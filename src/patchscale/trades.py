@@ -59,6 +59,30 @@ class SignedSeries:
 
 
 @dataclass(frozen=True, slots=True)
+class SeriesColumns:
+    """Signed series laid end to end, ordered by (firm_id, stock_id).
+
+    Series i is rows offsets[i]:offsets[i + 1] of timestamps and
+    signed_values, and belongs to pairs[i].  Arrays are made read-only.
+    """
+
+    pairs: list[tuple[str, str]]
+    offsets: np.ndarray
+    timestamps: np.ndarray
+    signed_values: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.offsets, self.timestamps, self.signed_values):
+            _frozen(array)
+
+    def __iter__(self) -> Iterator[SignedSeries]:
+        """One SignedSeries per series, its arrays views of the flat columns."""
+        bounds = self.offsets.tolist()
+        for (firm_id, stock_id), lo, hi in zip(self.pairs, bounds, bounds[1:]):
+            yield SignedSeries(firm_id, stock_id, self.timestamps[lo:hi], self.signed_values[lo:hi])
+
+
+@dataclass(frozen=True, slots=True)
 class FirmActivity:
     firm_id: str
     trades_per_year: dict[int, int]
@@ -425,75 +449,72 @@ class TradeTable:
         shown = np.hstack([np.broadcast_to(shown, field.shape) for field, shown in fields])
         return np.compress(shown.ravel(), matrix.ravel()).tobytes()
 
-    def iter_series(self, firm_ids: set[str] | None = None) -> Iterator[SignedSeries]:
-        """Yield one SignedSeries per (firm, stock) pair, ordered by identifier.
+    def series_columns(self, firm_ids: set[str] | None = None) -> SeriesColumns:
+        """Every (firm, stock) pair's signed series, ordered by identifier.
 
         Entries are time-sorted with input order preserved on ties.  When
-        firm_ids is given, other firms are skipped.
+        firm_ids is given, other firms are left out.
         """
-        if len(self) == 0:
-            return
-        order = np.lexsort(
-            (
-                np.arange(len(self)),
-                self.timestamps,
-                self.stock_codes,
-                self.firm_codes,
-            )
+        firms, stocks = sorted(self.firms), sorted(self.stocks)
+        # One key per pair in name order, of the narrowest unsigned type that
+        # holds them all: lexsort sorts a narrow key in less time and memory.
+        # It is stable, so ties keep input order.
+        key = np.min_scalar_type(max(len(firms) * len(stocks) - 1, 0))
+        firm_rank, stock_rank = (
+            np.argsort(np.argsort(np.array(names, dtype=object))).astype(key)
+            for names in (self.firms, self.stocks)
         )
-        firm_sorted = self.firm_codes[order]
-        stock_sorted = self.stock_codes[order]
-        pair_change = np.flatnonzero(
-            (np.diff(firm_sorted) != 0) | (np.diff(stock_sorted) != 0)
-        )
-        starts = np.concatenate(([0], pair_change + 1))
-        ends = np.concatenate((pair_change + 1, [len(self)]))
-        firms = [self.firms[code] for code in firm_sorted[starts].tolist()]
-        stocks = [self.stocks[code] for code in stock_sorted[starts].tolist()]
-        # Only the order stays alive while the series are consumed; each
-        # series takes its own slice of the columns.
-        del firm_sorted, stock_sorted
-        for i in sorted(range(len(starts)), key=lambda i: (firms[i], stocks[i])):
-            if firm_ids is not None and firms[i] not in firm_ids:
-                continue
-            idx = order[starts[i] : ends[i]]
-            yield SignedSeries(
-                firm_id=firms[i],
-                stock_id=stocks[i],
-                timestamps=_frozen(self.timestamps[idx]),
-                signed_values=_frozen(self.values[idx] * self.signs[idx]),
-            )
+        pair = firm_rank[self.firm_codes] * key.type(len(stocks))
+        pair += stock_rank[self.stock_codes]
+        order = np.lexsort((self.timestamps, pair))
+        if firm_ids is not None:
+            kept = np.array([firm in firm_ids for firm in self.firms], dtype=bool)
+            if not kept.all():
+                order = order[kept[self.firm_codes[order]]]
+        pair = pair[order]
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        pairs = [(firms[p // len(stocks)], stocks[p % len(stocks)]) for p in pair[starts].tolist()]
+        del pair
+        signed_values = self.values[order]
+        signed_values *= self.signs[order]
+        return SeriesColumns(pairs, np.append(starts, len(order)), self.timestamps[order], signed_values)
+
+    def iter_series(self, firm_ids: set[str] | None = None) -> Iterator[SignedSeries]:
+        """Yield the SignedSeries of series_columns(firm_ids) in order."""
+        return iter(self.series_columns(firm_ids))
 
     def activity(self) -> dict[str, FirmActivity]:
         """Per-firm trade and distinct-active-day counts by calendar year (UTC)."""
         if len(self) == 0:
             return {}
         epoch_days = self.timestamps // _SECONDS_PER_DAY
-        unique_days, day_inverse = np.unique(epoch_days, return_inverse=True)
+        unique_days = np.unique(epoch_days)
         years_of_day = np.array(
             [date.fromordinal(_EPOCH_ORDINAL + int(d)).year for d in unique_days],
             dtype=np.int64,
         )
         year_min = int(years_of_day.min())
         year_span = int(years_of_day.max()) - year_min + 1
-        firm_codes = self.firm_codes.astype(np.int64)
-
-        trade_keys = firm_codes * year_span + (years_of_day[day_inverse] - year_min)
-        trade_key_values, trade_counts = np.unique(trade_keys, return_counts=True)
-
-        day_keys = np.unique(firm_codes * len(unique_days) + day_inverse)
-        day_firm = day_keys // len(unique_days)
-        day_year = years_of_day[day_keys % len(unique_days)]
-        active_key_values, active_counts = np.unique(
-            day_firm * year_span + (day_year - year_min), return_counts=True
-        )
+        # Trades per (firm, day) first, then per (firm, year) from those.  The
+        # day index comes from searchsorted: np.unique's return_inverse would
+        # hold a sort permutation of every trade and set ingest's peak memory.
+        firm_day = self.firm_codes * np.int64(len(unique_days))
+        firm_day += np.searchsorted(unique_days, epoch_days)
+        del epoch_days
+        firm_day, day_trades = np.unique(firm_day, return_counts=True)
+        # Sorted by firm, then day, so each (firm, year) is one run of entries.
+        firm_year = firm_day // len(unique_days) * year_span
+        firm_year += years_of_day[firm_day % len(unique_days)] - year_min
+        starts = np.flatnonzero(np.diff(firm_year, prepend=-1))
+        trade_counts = np.add.reduceat(day_trades, starts)
+        active_days = np.diff(np.append(starts, len(firm_year)))
 
         trades_per: dict[int, dict[int, int]] = {}
-        for key, count in zip(trade_key_values.tolist(), trade_counts.tolist()):
-            trades_per.setdefault(key // year_span, {})[year_min + key % year_span] = count
         days_per: dict[int, dict[int, int]] = {}
-        for key, count in zip(active_key_values.tolist(), active_counts.tolist()):
-            days_per.setdefault(key // year_span, {})[year_min + key % year_span] = count
+        for key, trades, days in zip(firm_year[starts].tolist(), trade_counts.tolist(), active_days.tolist()):
+            firm, year = divmod(key, year_span)
+            trades_per.setdefault(firm, {})[year_min + year] = trades
+            days_per.setdefault(firm, {})[year_min + year] = days
         return {
             firm_id: FirmActivity(
                 firm_id=firm_id,

@@ -80,6 +80,38 @@ def test_invalid_config_json_is_data_error(tmp_path):
     assert main(["all", "--config", str(path), "--output-dir", str(tmp_path)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "setting,fault",
+    [
+        ({"seed": "abc"}, "config key seed must be an integer, got 'abc'"),
+        ({"bootstrap_samples": 400.5}, "config key bootstrap_samples must be an integer, got 400.5"),
+        ({"threshold": "0.9"}, "config key threshold must be a number, got '0.9'"),
+        ({"min_active_days": True}, "config key min_active_days must be an integer, got True"),
+        ({"synth": {**TINY_SYNTH, "n_firms": 12.5}}, "config key synth.n_firms must be an integer, got 12.5"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, setting, fault):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"synth": TINY_SYNTH, **setting}))
+    assert main(["all", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert fault in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_number_fields_take_integers(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"synth": TINY_SYNTH, "theta": 1, "seed": 3}))
+    config = _parse(["all", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert (config.theta, config.seed) == (1, 3)
+
+
+def test_non_utf8_config_is_data_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    assert main(["all", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert f"{path}: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_malformed_tape_is_data_error(tmp_path, capsys):
     tape = tmp_path / "tape.csv"
     tape.write_text("time,who\n1,x\n")
@@ -143,7 +175,8 @@ def _files(root):
 
 def _assert_staged_tree_matches_all(tmp_path, shared):
     staged, combined = tmp_path / "staged", tmp_path / "combined"
-    for command in ("synth", "ingest", "segment", "analyze", "report"):
+    stages = ("ingest", "segment", "analyze", "report")
+    for command in stages if "--tape" in shared else ("synth", *stages):
         assert main([command, *shared, "--output-dir", str(staged)]) == EXIT_OK, command
     assert main(["all", *shared, "--output-dir", str(combined)]) == EXIT_OK
     assert _files(staged) == _files(combined)
@@ -162,6 +195,17 @@ def test_every_stage_takes_the_flags_of_all(tmp_path):
     # report must all apply min-patch-trades and theta as `all` does.
     flags = ["--preset", "small", "--min-patch-trades", "20", "--theta", "0.8", "--bootstrap-samples", "400"]
     _assert_staged_tree_matches_all(tmp_path, flags)
+
+
+def test_stagewise_run_on_a_tape_matches_all(small_run, tmp_path):
+    # Activity filters that drop firms: the one path where ingest leaves rows
+    # of the tape out of ingested/.
+    config, _ = small_run
+    tape = config.out() / "tape.csv"
+    flags = ["--tape", str(tape), "--min-trades-per-year", "1000", "--min-active-days", "0"]
+    _assert_staged_tree_matches_all(tmp_path, [*flags, "--bootstrap-samples", "400"])
+    activity = json.loads((tmp_path / "staged" / "activity.json").read_text())
+    assert 0 < len(activity["qualified_firms"]) < activity["n_firms"]
 
 
 def test_later_stage_refuses_settings_that_contradict_an_earlier_one(tmp_path, capsys):
@@ -374,24 +418,38 @@ def test_segment_refuses_another_tape_of_the_same_count_and_span(small_run, tmp_
     assert (out / "segmentations.json").read_bytes() == segmentations
 
 
+def _unlink(path):
+    path.unlink()
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def _shift(path):
+    np.save(path, np.load(path) + 1)
+
+
+def _swap_pairs(path):
+    pairs = json.loads(path.read_text())
+    assert pairs[0] != pairs[1]
+    pairs[0], pairs[1] = pairs[1], pairs[0]
+    path.write_text(json.dumps(pairs, separators=(",", ":")) + "\n")
+
+
 def _triple(path):
-    # Still finite, positive and of the right shape: only the recorded digest tells.
+    # Still finite and of the right shape: only the recorded digest tells.
     np.save(path, np.load(path) * 3)
 
 
 @pytest.mark.parametrize(
     "name,damage",
     [
-        ("values.npy", lambda path: path.unlink()),
+        ("signed_values.npy", _unlink),
         ("timestamps.npy", _truncate),
-        ("signs.npy", lambda path: np.save(path, np.load(path).astype(np.int64))),
-        ("firm_codes.npy", lambda path: np.save(path, np.load(path) + 1000)),
-        ("values.npy", _triple),
-        ("ids.json", lambda path: path.write_text('{"firms": [], "stocks": []}')),
+        ("offsets.npy", _shift),
+        ("series.json", _swap_pairs),
+        ("signed_values.npy", _triple),
     ],
 )
 def test_bad_ingested_column_is_data_error(small_run, tmp_path, capsys, name, damage):
@@ -402,6 +460,32 @@ def test_bad_ingested_column_is_data_error(small_run, tmp_path, capsys, name, da
     assert main(["segment", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(out / "ingested") in err and "run ingest" in err
+
+
+def test_ingested_columns_of_an_older_layout_are_data_error(small_run, tmp_path, capsys):
+    # A tree ingested when ingested/ held the tape's five columns and ids.json.
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    path = out / "activity.json"
+    activity = json.loads(path.read_text())
+    old = ("timestamps.npy", "firm_codes.npy", "stock_codes.npy", "signs.npy", "values.npy", "ids.json")
+    activity["ingested_sha256"] = dict.fromkeys(old, "0" * 64)
+    path.write_text(json.dumps(activity))
+    assert main(["segment", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(out / "ingested") in err and "run ingest" in err
+
+
+def test_staged_run_that_qualifies_no_firm_segments_nothing(small_run, tmp_path):
+    config, _ = small_run
+    tape = ["--tape", str(config.out() / "tape.csv"), "--min-trades-per-year", "100000"]
+    out = tmp_path / "out"
+    for command in ("ingest", "segment", "analyze", "report"):
+        assert main([command, *tape, "--output-dir", str(out)]) == EXIT_OK, command
+    assert json.loads((out / "activity.json").read_text())["qualified_firms"] == []
+    assert json.loads((out / "segmentations.json").read_text())["series"] == []
+    assert json.loads((out / "ingested" / "series.json").read_text()) == []
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import write_tape
-from patchscale import allometry, patches
+from patchscale import allometry, patches, pipeline
 from patchscale.errors import DataError
 from patchscale.pipeline import (
     FAILURE_MARKER,
@@ -315,6 +315,51 @@ def test_segment_only_covers_qualified_firms(tmp_path):
     run_segment(config, table)
     segments = json.loads((config.out() / "segmentations.json").read_text())
     assert {entry["firm_id"] for entry in segments["series"]} == qualified
+
+
+# Codes are first-seen (F2, F10; SAN, BBVA), names sort the other way, BBVA is
+# first seen under the later firm, F10/SAN has ties at 100, and F3 trades once.
+ONE_SORT_ROWS = [
+    (500, "F2", "SAN", "B", 1.0),
+    (100, "F10", "SAN", "S", 2.0),
+    (100, "F10", "SAN", "B", 3.0),
+    (50, "F2", "SAN", "S", 4.0),
+    (300, "F10", "BBVA", "B", 5.0),
+    (200, "F3", "SAN", "B", 7.0),
+    (300, "F2", "BBVA", "S", 6.0),
+    (100, "F10", "SAN", "B", 8.0),
+]
+
+
+def test_ingest_saves_the_series_iter_series_yields(tmp_path):
+    tape = tmp_path / "tape.csv"
+    write_tape(ONE_SORT_ROWS, tape)
+    config = RunConfig(
+        output_dir=str(tmp_path / "out"), tape=str(tape), min_trades_per_year=2, min_active_days=0
+    )
+    _, qualified = run_ingest(config)
+    assert qualified == {"F2", "F10"}
+    expected = list(TradeTable.from_csv(tape).iter_series(qualified))
+    directory = config.out() / "ingested"
+    offsets = np.load(directory / "offsets.npy")
+    timestamps = np.load(directory / "timestamps.npy")
+    signed_values = np.load(directory / "signed_values.npy")
+    pairs = json.loads((directory / "series.json").read_text())
+    assert (offsets.dtype, timestamps.dtype, signed_values.dtype) == (np.int64, np.int64, np.float64)
+    assert [[s.firm_id, s.stock_id] for s in expected] == pairs
+    assert pairs == [["F10", "BBVA"], ["F10", "SAN"], ["F2", "BBVA"], ["F2", "SAN"]]
+    assert offsets.tolist() == [0, 1, 4, 5, 7] and len(timestamps) == len(signed_values) == 7
+    for series, lo, hi in zip(expected, offsets[:-1], offsets[1:]):
+        assert series.timestamps.tolist() == timestamps[lo:hi].tolist()
+        assert series.signed_values.tolist() == signed_values[lo:hi].tolist()
+    assert expected[1].signed_values.tolist() == [-2.0, 3.0, 8.0]
+    assert expected[3].signed_values.tolist() == [-4.0, 1.0]
+    activity = json.loads((config.out() / "activity.json").read_text())
+    loaded = list(pipeline._load_ingested(config, activity))
+    assert [(s.firm_id, s.stock_id) for s in loaded] == [(s.firm_id, s.stock_id) for s in expected]
+    for series in loaded:
+        assert not series.timestamps.flags.writeable
+        assert not series.signed_values.flags.writeable
 
 
 def test_ingest_reads_activity_once(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import csv
 import re
 import warnings
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -312,6 +313,12 @@ def test_iter_series_firm_filter():
     assert [(s.firm_id, s.stock_id) for s in only] == [("F2", "SAN")]
 
 
+def test_series_columns_of_an_empty_table():
+    columns = make_table([]).series_columns()
+    assert columns.pairs == [] and columns.offsets.tolist() == [0]
+    assert list(make_table(ROWS).iter_series(set())) == []
+
+
 def test_series_arrays_read_only():
     (series,) = make_table(ROWS[:2]).iter_series({"F1"})
     with pytest.raises(ValueError):
@@ -332,6 +339,26 @@ def test_firm_activity_counts_days_and_trades():
     activity = make_table(rows).activity()
     assert activity["F1"].trades_per_year == {2020: 12}
     assert activity["F1"].active_days_per_year == {2020: 3}
+
+
+def test_firm_activity_matches_a_loop_over_trades():
+    # Unsorted trades of firms first seen out of name order, over three years.
+    rng = np.random.default_rng(7)
+    n = 2000
+    timestamps = rng.integers(1546300800, 1609459200 + 86400 * 40, n)  # 2019-01-01 to early 2021
+    firm_ids = [f"F{code}" for code in rng.integers(0, 12, n)]
+    table = make_table([(int(t), f, "SAN", "B", 1.0) for t, f in zip(timestamps, firm_ids)])
+    trades, days = {}, {}
+    for t, firm in zip(timestamps.tolist(), firm_ids):
+        year = datetime.fromtimestamp(t, timezone.utc).year
+        trades.setdefault(firm, {}).setdefault(year, 0)
+        trades[firm][year] += 1
+        days.setdefault(firm, {}).setdefault(year, set()).add(t // 86400)
+    activity = table.activity()
+    assert set(activity) == set(trades)
+    for firm, counts in trades.items():
+        assert activity[firm].trades_per_year == counts
+        assert activity[firm].active_days_per_year == {y: len(d) for y, d in days[firm].items()}
 
 
 def test_filter_active_firms_strict():
