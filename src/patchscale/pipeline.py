@@ -85,6 +85,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.tape is not None and self.synth is not None:
             raise ValueError("tape and synth are mutually exclusive inputs")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.significance_mode not in ("closed-form", "monte-carlo"):

@@ -38,6 +38,8 @@ SMALL_N_MC = 20
 # Internal seed for Monte Carlo null tables; fixed so identical inputs give
 # identical segmentations without caller-supplied seeds.
 DEFAULT_MC_SEED = 271828
+# Normals drawn per chunk of a Monte Carlo null table.
+_NULL_DRAWS = 1 << 14
 # segment_many holds series until their rows would pass this bound (a longer
 # series forms a group alone); the group's prefix sums take 16 bytes a row.
 _GROUP_ROWS = 1 << 18
@@ -322,15 +324,16 @@ def _max_t_rows(rows: np.ndarray) -> np.ndarray:
 @functools.cache
 def _null_table(n: int, trials: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, trials]))
-    # About 100k draws per chunk: each of the kernel's temporaries stays below 1 MB.
-    chunk = max(1, min(trials, 100_000 // max(n, 1)))
-    parts = []
-    remaining = trials
-    while remaining > 0:
-        rows = rng.standard_normal((min(chunk, remaining), n))
-        parts.append(_max_t_rows(rows))
-        remaining -= len(rows)
-    return np.sort(np.concatenate(parts))
+    # At most _NULL_DRAWS normals per chunk (one row if n is larger):
+    # _max_t_rows holds ~12 chunk-sized temporaries at once.  The generator
+    # fills in sequence, so the table does not depend on the chunk size.
+    chunk = max(1, _NULL_DRAWS // n)
+    maxima = np.empty(trials)
+    for lo in range(0, trials, chunk):
+        rows = rng.standard_normal((min(chunk, trials - lo), n))
+        maxima[lo : lo + len(rows)] = _max_t_rows(rows)
+    maxima.sort()
+    return maxima
 
 
 def significance_mc(

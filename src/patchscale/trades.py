@@ -23,11 +23,15 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _SECONDS_PER_DAY = 86400
 
 # Block-wise tape I/O: bytes read per parse block (cut back to a newline)
-# and rows formatted per write.  Writing a 436k-row tape in blocks of 2^16
-# rows left ~25 MB of freed block arrays resident; 2^13 leaves ~2 MB and
-# writes as fast.
-_READ_BYTES = 1 << 20
+# and rows formatted per write.  A block's parse temporaries (int64
+# separator offsets, byte and digit matrices) come to ~14x its size, so
+# 256 KiB blocks hold ~3.5 MB beside the columns.  Writing a 436k-row tape
+# in blocks of 2^16 rows left ~25 MB of freed block arrays resident; 2^13
+# leaves ~2 MB and writes as fast.
+_READ_BYTES = 1 << 18
 _WRITE_ROWS = 1 << 13
+# Rows per block when activity() counts trades per (firm, day).
+_ACTIVITY_ROWS = 1 << 16
 _HEADER_LINE = (",".join(TRADE_CSV_HEADER) + "\n").encode()
 # Timestamps of up to 18 digits fit int64; longer ones take the row loop.
 _MAX_TS_DIGITS = 18
@@ -255,13 +259,20 @@ def _parse_plain(path: str | Path) -> TradeTable | None:
     Accepts a strict subset of what the row loop accepts: the exact header,
     no quote, CR or NUL byte, a final newline, and per row five fields in
     the simplest form each can take.  Ids must decode as UTF-8.
+
+    A first pass counts the lines, so the columns are allocated once and
+    each block parses into its own rows of them.
     """
     firms, stocks = _Interner(), _Interner()
-    columns = []
     with open(path, "rb") as handle:
         if handle.read(len(_HEADER_LINE)) != _HEADER_LINE:
             return None
-        tail = b""
+        n = sum(chunk.count(b"\n") for chunk in iter(lambda: handle.read(_READ_BYTES), b""))
+        if n == 0:
+            return None
+        handle.seek(len(_HEADER_LINE))
+        columns = [np.empty(n, dtype) for dtype in (np.int64, np.int32, np.int32, np.int8, np.float64)]
+        filled, tail = 0, b""
         while chunk := handle.read(_READ_BYTES):
             buffer = tail + chunk
             cut = buffer.rfind(b"\n") + 1
@@ -274,13 +285,15 @@ def _parse_plain(path: str | Path) -> TradeTable | None:
                 parsed = _parse_block(block, firms, stocks)
             except ValueError:  # an unparsable value, or an id that is not UTF-8
                 return None
-            if parsed is None:
+            if parsed is None or filled + len(parsed[0]) > n:
                 return None
-            columns.append(parsed)
-    if tail or not columns:
+            rows = slice(filled, filled + len(parsed[0]))
+            for column, part in zip(columns, parsed):
+                column[rows] = part
+            filled = rows.stop
+    if tail or filled != n:
         return None
-    timestamps, firm_codes, stock_codes, signs, values = (np.concatenate(c) for c in zip(*columns))
-    return TradeTable(timestamps, firm_codes, stock_codes, signs, values, firms.ids, stocks.ids)
+    return TradeTable(*columns, firms.ids, stocks.ids)
 
 
 class TradeTable:
@@ -487,24 +500,33 @@ class TradeTable:
         """Per-firm trade and distinct-active-day counts by calendar year (UTC)."""
         if len(self) == 0:
             return {}
-        epoch_days = self.timestamps // _SECONDS_PER_DAY
-        unique_days = np.unique(epoch_days)
-        years_of_day = np.array(
-            [date.fromordinal(_EPOCH_ORDINAL + int(d)).year for d in unique_days],
+        first_day, last_day = (t // _SECONDS_PER_DAY for t in self.span())
+        n_days = last_day - first_day + 1
+        year_min, year_max = (date.fromordinal(_EPOCH_ORDINAL + d).year for d in (first_day, last_day))
+        year_span = year_max - year_min + 1
+        # Trades per (firm, day) first, _ACTIVITY_ROWS trades at a time, each
+        # block's counts merged into the sorted keys so far; then per (firm,
+        # year) from those.
+        firm_day = np.empty(0, dtype=np.int64)
+        day_trades = np.empty(0, dtype=np.int64)
+        for lo in range(0, len(self), _ACTIVITY_ROWS):
+            rows = slice(lo, lo + _ACTIVITY_ROWS)
+            keys = self.firm_codes[rows] * np.int64(n_days)
+            keys += self.timestamps[rows] // _SECONDS_PER_DAY - first_day
+            keys, counts = np.unique(keys, return_counts=True)
+            keys = np.concatenate((firm_day, keys))
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            firm_day = keys[starts]
+            day_trades = np.add.reduceat(np.concatenate((day_trades, counts))[order], starts)
+        # Sorted by firm, then day, so each (firm, year) is one run of entries.
+        year_starts = np.array(
+            [date(year, 1, 1).toordinal() - _EPOCH_ORDINAL - first_day for year in range(year_min + 1, year_max + 1)],
             dtype=np.int64,
         )
-        year_min = int(years_of_day.min())
-        year_span = int(years_of_day.max()) - year_min + 1
-        # Trades per (firm, day) first, then per (firm, year) from those.  The
-        # day index comes from searchsorted: np.unique's return_inverse would
-        # hold a sort permutation of every trade and set ingest's peak memory.
-        firm_day = self.firm_codes * np.int64(len(unique_days))
-        firm_day += np.searchsorted(unique_days, epoch_days)
-        del epoch_days
-        firm_day, day_trades = np.unique(firm_day, return_counts=True)
-        # Sorted by firm, then day, so each (firm, year) is one run of entries.
-        firm_year = firm_day // len(unique_days) * year_span
-        firm_year += years_of_day[firm_day % len(unique_days)] - year_min
+        firm_year = firm_day // n_days * year_span
+        firm_year += np.searchsorted(year_starts, firm_day % n_days, side="right")
         starts = np.flatnonzero(np.diff(firm_year, prepend=-1))
         trade_counts = np.add.reduceat(day_trades, starts)
         active_days = np.diff(np.append(starts, len(firm_year)))

@@ -74,6 +74,40 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_config_path_of_a_directory_is_usage_error(tmp_path, capsys):
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    assert main(["all", "--config", str(folder), "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"cannot read config file {folder}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    # Permission bits do not stop a superuser, so the read itself is made to fail.
+    path = Path(_write_synth_config(tmp_path))
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["all", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"cannot read config file {path}: Permission denied" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["all", "--preset", "small", "--seed", "-1", "--output-dir", str(out)]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"synth": TINY_SYNTH, "seed": -1}))
+        argv = ["all", "--config", str(path), "--output-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "FAILED.json").exists()
+
+
 def test_invalid_config_json_is_data_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,6 +1,7 @@
 """Maximum-t statistics, significance gating, and recursive segmentation."""
 
 import functools
+import tracemalloc
 import warnings
 from bisect import bisect_right, insort
 
@@ -287,6 +288,30 @@ def test_significance_mc_deterministic_and_bounded():
     low = significance_mc(1.0, 30, 2000, DEFAULT_MC_SEED)
     high = significance_mc(5.0, 30, 2000, DEFAULT_MC_SEED)
     assert low <= a <= high
+
+
+@pytest.mark.parametrize("n", [4, 11, 19, 40])
+def test_null_table_does_not_depend_on_the_draw_chunk(monkeypatch, n):
+    # The generator fills rows in sequence, so chunks of 1 row, of 37 rows
+    # and of the default size give the same table bit for bit.
+    build = segmentation._null_table.__wrapped__
+    default = build(n, 1000, DEFAULT_MC_SEED)
+    for rows in (1, 37):
+        monkeypatch.setattr(segmentation, "_NULL_DRAWS", rows * n)
+        assert build(n, 1000, DEFAULT_MC_SEED).tobytes() == default.tobytes()
+    monkeypatch.setattr(segmentation, "_NULL_DRAWS", 10**9)
+    assert build(n, 1000, DEFAULT_MC_SEED).tobytes() == default.tobytes()
+
+
+def test_null_table_memory_is_bounded():
+    # 10,000 trials of n = 19, drawn a few thousand normals at a time.
+    tracemalloc.start()
+    try:
+        segmentation._null_table.__wrapped__(19, 10_000, DEFAULT_MC_SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_policy_routes_short_windows_to_monte_carlo():

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 import warnings
 from datetime import datetime, timezone
 
@@ -190,7 +191,7 @@ def test_other_dialects_take_the_row_loop(tmp_path, name):
     _assert_same_table(table, TradeTable._parse_rows(path))
 
 
-# Each bad cell lands on one line of the second 1 MiB block.
+# Each bad cell lands on one line of a later block, past the first _READ_BYTES.
 @pytest.mark.parametrize(
     "row,message",
     [
@@ -217,6 +218,44 @@ def test_bad_row_in_a_later_block_names_its_line(tmp_path, row, message):
     assert sum(map(len, lines[: bad_line - 2])) > trades._READ_BYTES
     with pytest.raises(DataError, match=re.escape(f"{path}: line {bad_line}: {message}")):
         TradeTable.from_csv(path)
+
+
+@pytest.mark.parametrize("row", ['7,F1,S1,B,"1.0"', "7,F1,S1,B,0x1", "7,F1,S1,B,1e5e5"])
+def test_fast_path_fault_in_the_last_block_takes_the_row_loop(tmp_path, monkeypatch, row):
+    # Every block but the last has filled its rows of the columns when the
+    # last one fails a check; the row loop must parse the whole tape again.
+    lines = _tape_lines(3_000)
+    lines[-1] = row + "\n"
+    path = tmp_path / "tape.csv"
+    path.write_text(HEADER + "".join(lines))
+    monkeypatch.setattr(trades, "_READ_BYTES", 4096)
+    assert len(lines[-1]) < trades._READ_BYTES < sum(map(len, lines)) // 4
+    assert trades._parse_plain(path) is None
+    if row.endswith('"1.0"'):
+        table = TradeTable.from_csv(path)
+        _assert_same_table(table, TradeTable._parse_rows(path))
+        assert table.values[-1] == 1.0 and len(table) == len(lines)
+    else:
+        with pytest.raises(DataError, match=f"line {len(lines) + 1}: bad value"):
+            TradeTable.from_csv(path)
+
+
+def test_block_parse_memory_is_the_columns_and_a_few_blocks(tmp_path, monkeypatch):
+    # The columns are allocated once and each block parses into its rows of
+    # them, so the peak is the columns plus a bounded multiple of one block
+    # (its temporaries come to ~14 times its size), however long the tape.
+    monkeypatch.setattr(trades, "_READ_BYTES", 1 << 16)
+    path = tmp_path / "tape.csv"
+    path.write_text(HEADER + "".join(_tape_lines(120_000)))
+    tracemalloc.start()
+    try:
+        table = TradeTable.from_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(table, name).nbytes for name in COLUMNS)
+    assert columns > 2_500_000
+    assert peak < columns + 24 * trades._READ_BYTES
 
 
 def test_non_utf8_tape_names_file_and_line(tmp_path):
@@ -341,24 +380,66 @@ def test_firm_activity_counts_days_and_trades():
     assert activity["F1"].active_days_per_year == {2020: 3}
 
 
-def test_firm_activity_matches_a_loop_over_trades():
-    # Unsorted trades of firms first seen out of name order, over three years.
-    rng = np.random.default_rng(7)
-    n = 2000
-    timestamps = rng.integers(1546300800, 1609459200 + 86400 * 40, n)  # 2019-01-01 to early 2021
-    firm_ids = [f"F{code}" for code in rng.integers(0, 12, n)]
-    table = make_table([(int(t), f, "SAN", "B", 1.0) for t, f in zip(timestamps, firm_ids)])
+def _activity_oracle(rows):
+    """Trades and distinct active days per firm and UTC year, by a loop over trades."""
     trades, days = {}, {}
-    for t, firm in zip(timestamps.tolist(), firm_ids):
+    for t, firm, *_ in rows:
         year = datetime.fromtimestamp(t, timezone.utc).year
         trades.setdefault(firm, {}).setdefault(year, 0)
         trades[firm][year] += 1
         days.setdefault(firm, {}).setdefault(year, set()).add(t // 86400)
-    activity = table.activity()
-    assert set(activity) == set(trades)
-    for firm, counts in trades.items():
-        assert activity[firm].trades_per_year == counts
-        assert activity[firm].active_days_per_year == {y: len(d) for y, d in days[firm].items()}
+    return trades, {firm: {y: len(d) for y, d in by_year.items()} for firm, by_year in days.items()}
+
+
+def _assert_activity_matches_the_loop():
+    # Unsorted trades of firms first seen out of name order, over three
+    # years, and a firm active in 2020 only.
+    rng = np.random.default_rng(7)
+    n = 2000
+    timestamps = rng.integers(1546300800, 1609459200 + 86400 * 40, n)  # 2019-01-01 to early 2021
+    firm_ids = [f"F{code}" for code in rng.integers(0, 12, n)]
+    rows = [(int(t), f, "SAN", "B", 1.0) for t, f in zip(timestamps, firm_ids)]
+    rows[::97] = [(1577836800 + 86400 * (i % 300) + i, "ONLY2020", "SAN", "S", 1.0) for i in range(len(rows[::97]))]
+    counts, days = _activity_oracle(rows)
+    assert set(counts["ONLY2020"]) == {2020} and len(counts) == 13
+    activity = make_table(rows).activity()
+    assert set(activity) == set(counts)
+    for firm in counts:
+        assert activity[firm].trades_per_year == counts[firm]
+        assert activity[firm].active_days_per_year == days[firm]
+
+
+def test_firm_activity_matches_a_loop_over_trades():
+    _assert_activity_matches_the_loop()
+
+
+def test_firm_activity_in_blocks_of_seven_rows_matches_the_loop(monkeypatch):
+    # Each block's (firm, day) counts are merged into those of the blocks before.
+    monkeypatch.setattr(trades, "_ACTIVITY_ROWS", 7)
+    _assert_activity_matches_the_loop()
+
+
+def _activity_peak(n):
+    """Traced peak of activity() on a time-sorted n-trade tape of 20 firms over 400 days."""
+    rng = np.random.default_rng(n)
+    timestamps = np.sort(rng.integers(1577836800, 1577836800 + 400 * 86400, n))
+    table = TradeTable(
+        timestamps, rng.integers(0, 20, n).astype(np.int32), np.zeros(n, dtype=np.int32),
+        np.ones(n, dtype=np.int8), np.ones(n), [f"F{i:02d}" for i in range(20)], ["SAN"],
+    )
+    tracemalloc.start()
+    try:
+        table.activity()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_activity_memory_does_not_grow_with_the_tape():
+    # Four times the trades over the same firms and days: the same 8,000
+    # (firm, day) counts, and blocks of the same size.
+    short, long = _activity_peak(1 << 17), _activity_peak(1 << 19)
+    assert long < short + (1 << 18)
 
 
 def test_filter_active_firms_strict():
