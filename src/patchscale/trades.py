@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, utf8_lines
 
@@ -23,9 +23,9 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _SECONDS_PER_DAY = 86400
 
 # Block-wise tape I/O: bytes read per parse block (cut back to a newline)
-# and rows formatted per write.  A block's parse temporaries (int64
-# separator offsets, byte and digit matrices) come to ~14x its size, so
-# 256 KiB blocks hold ~3.5 MB beside the columns.  Writing a 436k-row tape
+# and rows formatted per write.  A block's parse temporaries (its text,
+# numpy's tokenizer buffers and the parsed rows) come to ~10x its size, so
+# 256 KiB blocks hold ~2.5 MB beside the columns.  Writing a 436k-row tape
 # in blocks of 2^16 rows left ~25 MB of freed block arrays resident; 2^13
 # leaves ~2 MB and writes as fast.
 _READ_BYTES = 1 << 18
@@ -33,16 +33,12 @@ _WRITE_ROWS = 1 << 13
 # Rows per block when activity() counts trades per (firm, day).
 _ACTIVITY_ROWS = 1 << 16
 _HEADER_LINE = (",".join(TRADE_CSV_HEADER) + "\n").encode()
-# Timestamps of up to 18 digits fit int64; longer ones take the row loop.
-_MAX_TS_DIGITS = 18
-# Byte lookups on zero-padded fields (a tape on this path holds no NUL, so
-# 0 is padding): the digit's value, 10 for a byte that is not a digit; and
-# whether a byte may appear in a value.
-_DIGIT_VALUE = np.full(256, 10, dtype=np.int64)
-_DIGIT_VALUE[0] = 0
-_DIGIT_VALUE[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
-_NUMBER = np.zeros(256, dtype=bool)
-_NUMBER[np.frombuffer(b"\x000123456789.eE+-", dtype=np.uint8)] = True
+# 9999-12-31T23:59:59Z: the last second with a calendar year in datetime.
+_MAX_TIMESTAMP = 253402300799
+# Bytes that send a tape to the row loop: a quote, CR or NUL, which numpy's
+# tokenizer reads otherwise than csv.reader, and 0x1C-0x1F, which it strips
+# around a number where int() and float() refuse them.
+_ROW_LOOP_BYTES = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +105,8 @@ def _parse_row(path: str | Path, fields: list[str], line_no: int) -> tuple[int, 
         raise DataError(f"{path}: line {line_no}: bad timestamp {raw_ts!r}") from None
     if timestamp < 0:
         raise DataError(f"{path}: line {line_no}: negative timestamp {timestamp}")
+    if timestamp > _MAX_TIMESTAMP:
+        raise DataError(f"{path}: line {line_no}: timestamp {timestamp} is past 9999-12-31")
     if side not in (BUY, SELL):
         raise DataError(f"{path}: line {line_no}: side must be B or S, got {side!r}")
     try:
@@ -191,74 +189,68 @@ class _Interner:
         return lookup[inverse.reshape(-1)]
 
 
-def _parse_block(block: bytes, firms: _Interner, stocks: _Interner) -> tuple | None:
-    """Columns of a block of whole LF-terminated tape lines, or None if any check fails.
+def _tokenize(text: str, width: int) -> np.ndarray:
+    """A block's rows as numpy's C tokenizer reads them, ids cut to width bytes."""
+    dtype = [("timestamp", np.int64), ("firm", f"S{width}"), ("stock", f"S{width}"), ("side", "S2"), ("value", np.float64)]
+    with warnings.catch_warnings():
+        # A block of blank lines reads as no rows, which the row count declines.
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
-    Raises ValueError on a value numpy cannot parse or an id that is not UTF-8.
+
+def _parse_block(block: bytes, width: int, firms: _Interner, stocks: _Interner) -> tuple | None:
+    """Columns of a block of whole LF-terminated tape lines and the id width for
+    the next block, or None if any check fails.
+
+    Ids are read at width bytes; a block that has an id of that width, which
+    may have been cut, is read again at its longest line.  The next block is
+    read at the longest id's width plus one, and at least 8.  Raises
+    ValueError on a field numpy cannot parse, or a block that is not UTF-8.
     """
-    raw = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    commas = np.flatnonzero(raw == ord(","))
-    n = len(ends)
-    if len(commas) != 4 * n:
+    if any(byte in block for byte in _ROW_LOOP_BYTES):
         return None
-    # Separator offsets per line: the previous line's newline, four commas,
-    # the line's own newline; field k spans (seps[k], seps[k + 1]).
-    seps = np.column_stack((np.concatenate(([-1], ends[:-1])), commas.reshape(n, 4), ends))
-    # The offsets are sorted and there are 4n commas in all, so each line
-    # holds exactly four when its first comma and its last lie inside it.
-    if not ((seps[:, 1] > seps[:, 0]).all() and (seps[:, 4] < seps[:, 5]).all()):
-        return None
-    lengths = np.diff(seps, axis=1) - 1
-    widths = lengths.max(axis=0)
-    # Ids up to 8 bytes wide are interned as uint64 keys, so windows span
-    # at least 8 bytes; the zeros let the last line's windows run past it.
-    span = max(int(widths.max()), 8)
-    windows = sliding_window_view(np.concatenate((raw, np.zeros(span, dtype=np.uint8))), span)
+    # A block must be UTF-8: under latin-1 alone a lone 0x85 or 0xA0 byte
+    # reads as a space.  One that is not ASCII is then read as latin-1, one
+    # character per byte, so its ids come back as their bytes.
+    text = block.decode("utf-8")
+    if not text.isascii():
+        text = block.decode("latin-1")
 
-    def field(k: int, width: int) -> np.ndarray:
-        """Field k of every line as a zero-padded (n, width) uint8 matrix."""
-        matrix = windows[seps[:, k] + 1, :width]
-        matrix *= np.arange(width) < lengths[:, k, None]
-        return matrix
+    def longest_id(rows: np.ndarray) -> int:
+        return int(max(np.char.str_len(rows[key]).max() for key in ("firm", "stock")))
 
-    def ids(k: int, interner: _Interner) -> np.ndarray:
-        if widths[k] <= 8:
-            return interner.encode(field(k, 8).view(np.uint64).reshape(n))
-        return interner.encode(field(k, widths[k]).view(f"S{widths[k]}").reshape(n))
-
-    if not 1 <= lengths[:, 0].min() <= widths[0] <= _MAX_TS_DIGITS:
+    rows = _tokenize(text, width)
+    if len(rows) != block.count(b"\n"):  # numpy skips blank lines
         return None
-    digits = _DIGIT_VALUE[field(0, widths[0])]
-    if digits.max() > 9:
+    longest = longest_id(rows)
+    if longest == width:
+        rows = _tokenize(text, max(map(len, block.split(b"\n"))))
+        longest = longest_id(rows)
+    timestamps, sides, values = rows["timestamp"], rows["side"], rows["value"]
+    if not (timestamps.min() >= 0 and timestamps.max() <= _MAX_TIMESTAMP):
         return None
-    # Left-aligned digits read as a widths[0]-digit number, then the
-    # padding's trailing zeros divided off.
-    powers = 10 ** np.arange(widths[0] - 1, -1, -1, dtype=np.int64)
-    timestamps = (digits @ powers) // powers[lengths[:, 0] - 1]
-
-    sides = raw[seps[:, 3] + 1]
-    if not ((lengths[:, 3] == 1) & ((sides == ord(BUY)) | (sides == ord(SELL)))).all():
+    buys = sides == BUY.encode()
+    if not (buys | (sides == SELL.encode())).all():
         return None
-    signs = np.where(sides == ord(BUY), 1, -1).astype(np.int8)
-
-    if lengths[:, 4].min() < 1:
-        return None
-    cells = field(4, widths[4])
-    if not _NUMBER[cells].all():
-        return None
-    values = cells.view(f"S{widths[4]}").reshape(n).astype(np.float64)
     if not (np.isfinite(values) & (values > 0)).all():
         return None
-    return timestamps, ids(1, firms), ids(2, stocks), signs, values
+
+    def ids(key: str, interner: _Interner) -> np.ndarray:
+        keys = rows[key]
+        return interner.encode(keys.view(np.uint64) if keys.itemsize == 8 else keys)
+
+    signs = np.where(buys, 1, -1).astype(np.int8)
+    return (timestamps, ids("firm", firms), ids("stock", stocks), signs, values), max(longest + 1, 8)
 
 
 def _parse_plain(path: str | Path) -> TradeTable | None:
     """The table of an unquoted LF tape, parsed block-wise; None if the row loop must parse it.
 
-    Accepts a strict subset of what the row loop accepts: the exact header,
-    no quote, CR or NUL byte, a final newline, and per row five fields in
-    the simplest form each can take.  Ids must decode as UTF-8.
+    Accepts a subset of what the row loop accepts, with the same values:
+    the exact header, valid UTF-8 without the bytes of _ROW_LOOP_BYTES, a
+    final newline, no blank line, and per row five fields that numpy's
+    tokenizer reads as an int64 timestamp up to _MAX_TIMESTAMP, two ids, a
+    side B or S and a finite positive float64 value.
 
     A first pass counts the lines, so the columns are allocated once and
     each block parses into its own rows of them.
@@ -272,23 +264,23 @@ def _parse_plain(path: str | Path) -> TradeTable | None:
             return None
         handle.seek(len(_HEADER_LINE))
         columns = [np.empty(n, dtype) for dtype in (np.int64, np.int32, np.int32, np.int8, np.float64)]
-        filled, tail = 0, b""
+        # Ids of up to 8 bytes are interned as uint64 keys.
+        filled, tail, width = 0, b"", 8
         while chunk := handle.read(_READ_BYTES):
             buffer = tail + chunk
             cut = buffer.rfind(b"\n") + 1
             block, tail = buffer[:cut], buffer[cut:]
             if not block:
                 continue
-            if b'"' in block or b"\r" in block or b"\0" in block:
-                return None
             try:
-                parsed = _parse_block(block, firms, stocks)
-            except ValueError:  # an unparsable value, or an id that is not UTF-8
+                parsed = _parse_block(block, width, firms, stocks)
+            except ValueError:  # an unparsable field, or a block that is not UTF-8
                 return None
-            if parsed is None or filled + len(parsed[0]) > n:
+            if parsed is None or filled + len(parsed[0][0]) > n:
                 return None
-            rows = slice(filled, filled + len(parsed[0]))
-            for column, part in zip(columns, parsed):
+            parts, width = parsed
+            rows = slice(filled, filled + len(parts[0]))
+            for column, part in zip(columns, parts):
                 column[rows] = part
             filled = rows.stop
     if tail or filled != n:
@@ -365,8 +357,8 @@ class TradeTable:
         """Parse a trade CSV; a malformed row raises DataError with its line number.
 
         Values must be finite and strictly positive: a signed value of 0 has
-        no side.  An unquoted LF tape, the form to_csv writes, is parsed
-        block-wise with numpy; anything else, and any tape that fails a
+        no side.  An unquoted LF tape, the form to_csv writes, is tokenized
+        block-wise by numpy.loadtxt; anything else, and any tape that fails a
         check, goes through the row loop, which alone names a bad line.
         """
         table = _parse_plain(path)

@@ -162,6 +162,15 @@ def test_non_utf8_tape_is_data_error(tmp_path, capsys):
     assert f"{tape}: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timestamp", ["300000000000", "99999999999999999999"])
+def test_timestamp_past_year_9999_is_data_error(tmp_path, capsys, timestamp):
+    tape = tmp_path / "tape.csv"
+    tape.write_text(f"timestamp,firm_id,stock_id,side,value\n1,F1,S1,B,1.0\n{timestamp},F1,S1,B,1.0\n")
+    code = main(["ingest", "--tape", str(tape), "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert f"{tape}: line 3: timestamp {timestamp} is past 9999-12-31" in capsys.readouterr().err
+
+
 def test_non_utf8_patches_csv_is_data_error(small_run, tmp_path, capsys):
     config, _ = small_run
     lines = (config.out() / "patches.csv").read_bytes().split(b"\n")

@@ -130,7 +130,8 @@ def _tape_lines(n, seed=0):
 FAST_TAPES = {
     "canonical": "".join(_tape_lines(500)),
     "leading-zero timestamps": "0,F1,S1,B,1.0\n007,F1,S1,S,2.5\n"
-    "000000000000000042,F2,S1,B,3.0\n999999999999999999,F2,S1,B,4.0\n",
+    "000000000000000042,F2,S1,B,3.0\n000000253402300799,F2,S1,B,4.0\n",
+    "19-digit timestamp": "0000000000000000001,F1,S1,B,1.0\n",
     "exponent values": "1,F1,S1,B,1e-05\n2,F1,S1,S,1e+16\n3,F1,S1,B,2.5E-3\n4,F1,S1,B,.5\n"
     "5,F1,S1,B,7.\n6,F1,S1,B,+3\n7,F1,S1,B,1e308\n",
     "17-digit reprs": "1,F1,S1,B,0.30000000000000004\n2,F1,S1,S,2455.3849750134502\n"
@@ -139,6 +140,13 @@ FAST_TAPES = {
     "3,F1,S1,B,4.9406564584124654e-324\n",
     "long and unicode ids": "1,firm-with-a-long-name,Société Générale,B,1.0\n2,F1,S1,S,2.0\n"
     "3,firm-with-a-long-name,S1,B,3.0\n4,,S1,B,4.0\n5,F 1 ,Société Générale,S,5.0\n",
+    "8-byte ids": "1,FIRM-001,STOCK-01,B,1.0\n2,F1,S1,S,2.0\n3,FIRM-001,S1,B,3.0\n4,FIRM-002,STOCK-01,S,4.0\n",
+    # Ids wider than 8 bytes first appear past the first 64-byte block, and
+    # then wider still: each block that fills the id width is read again.
+    "long ids in later blocks": "".join(f"{t},F{t % 3},S1,B,{t}.5\n" for t in range(1, 12))
+    + "12,FIRM-NUMBER-9,S1,S,1.0\n13,F1,S1,B,2.0\n"
+    + "".join(f"{t},F{t % 3},S2,S,{t}.25\n" for t in range(14, 24))
+    + "24,F1,STOCK-WITH-A-LONGER-NAME,B,3.0\n25,FIRM-NUMBER-9,S1,S,4.0\n26,F2,S1,B,5.0\n",
 }
 
 FALLBACK_TAPES = {
@@ -164,7 +172,7 @@ FALLBACK_TAPES = {
         HEADER + " 1,F1,S1,B, 1.0\n1_000,F2,S1,S,2_0.5\n",
         [[1, 1000], ["F1", "F2"], ["S1", "S1"], [1, -1], [1.0, 20.5]],
     ),
-    "19-digit timestamp": (HEADER + "0000000000000000001,F1,S1,B,1.0\n", [[1], ["F1"], ["S1"], [1], [1.0]]),
+    "0x1C in an id": (HEADER + "1,F\x1c1,S1,B,1.0\n", [[1], ["F\x1c1"], ["S1"], [1], [1.0]]),
 }
 
 
@@ -207,6 +215,10 @@ def test_other_dialects_take_the_row_loop(tmp_path, name):
         ("7,F1,S1,B,1.0,", "expected 5 fields, got 6"),
         ("7,F\r1,S1,B,1.0", "expected 5 fields, got 2"),
         ("", "expected 5 fields, got 0"),
+        ("300000000000,F1,S1,B,1.0", "timestamp 300000000000 is past 9999-12-31"),
+        ("99999999999999999999,F1,S1,B,1.0", "timestamp 99999999999999999999 is past 9999-12-31"),
+        ("7,F1,S1,B,1.0\x1c", "bad value '1.0\\x1c'"),
+        ("7,F1,S1,B,\xa01.0", "not valid UTF-8 (byte 0xa0 at column 11)"),
     ],
 )
 def test_bad_row_in_a_later_block_names_its_line(tmp_path, row, message):
@@ -214,7 +226,8 @@ def test_bad_row_in_a_later_block_names_its_line(tmp_path, row, message):
     bad_line = 35_000
     lines[bad_line - 2] = row + "\n"
     path = tmp_path / "tape.csv"
-    path.write_text(HEADER + "".join(lines))
+    # Latin-1 writes each character as one byte: \xa0 stays a lone byte.
+    path.write_text(HEADER + "".join(lines), encoding="latin-1")
     assert sum(map(len, lines[: bad_line - 2])) > trades._READ_BYTES
     with pytest.raises(DataError, match=re.escape(f"{path}: line {bad_line}: {message}")):
         TradeTable.from_csv(path)
@@ -240,10 +253,91 @@ def test_fast_path_fault_in_the_last_block_takes_the_row_loop(tmp_path, monkeypa
             TradeTable.from_csv(path)
 
 
+# Fuzzed tapes are built from these fields, each drawn from its odd cells
+# one time in ten, and these bytes, put before, inside or after a field one
+# time in ten: the cells and bytes that numpy's tokenizer and csv.reader
+# with int() and float() might read apart.
+FUZZ_FIELDS = {
+    "timestamp": (
+        [b"0", b"7", b"1577836800", b"253402300799", b"123456789012345678", b"0000000000000000042"],
+        [b"", b"-1", b"253402300800", b"1234567890123456789", b"12345678901234567890"],
+    ),
+    "id": (
+        [b"F1", b"S1", b"FIRM-008", b"FIRM-0009", "Société".encode()],
+        [b"", b"FIRM-WITH-20-BYTES-X"],
+    ),
+    "side": ([b"B", b"S"], [b"", b"b", b"BB"]),
+    "value": (
+        [b"1.0", b"2.5", b".5", b"1e-05", b"5e-324"],
+        [b"0", b"-3", b"nan", b"inf", b"1e400", b"0x1"],
+    ),
+}
+FUZZ_BYTES = [
+    b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x0c", b"\t", b" ", b"\x85", b"\xa0", b"\xc2\xa0", b"+", b"_",
+]
+
+
+def _fuzz_tape(rng):
+    def cell(kind):
+        good, odd = FUZZ_FIELDS[kind]
+        pool = odd if rng.random() < 0.1 else good
+        text = pool[rng.integers(len(pool))]
+        if rng.random() < 0.1:
+            at = rng.integers(len(text) + 1)
+            text = text[:at] + FUZZ_BYTES[rng.integers(len(FUZZ_BYTES))] + text[at:]
+        return text
+
+    lines = []
+    for _ in range(rng.integers(1, 5)):
+        blank = rng.random() < 0.05
+        lines.append(b"\n" if blank else b",".join(map(cell, ("timestamp", "id", "id", "side", "value"))) + b"\n")
+    return b"".join(lines)
+
+
+def _outcome(table_or_error):
+    """A table's column bytes and ids, or a DataError's message, to compare parses by."""
+    if isinstance(table_or_error, DataError):
+        return str(table_or_error)
+    return [getattr(table_or_error, name).tobytes() for name in COLUMNS], table_or_error.firms, table_or_error.stocks
+
+
+def _parsed(parse, path):
+    try:
+        return parse(path)
+    except DataError as exc:
+        return exc
+
+
+def test_fast_path_agrees_with_the_row_loop_on_fuzzed_tapes(tmp_path, monkeypatch):
+    # The fast path declines, as a whole tape and block by block, whatever
+    # it would read otherwise than the row loop.
+    rng = np.random.default_rng(21)
+    path = tmp_path / "tape.csv"
+    accepted = 0
+    for i in range(500):
+        body = _fuzz_tape(rng)
+        path.write_bytes(HEADER.encode() + body)
+        monkeypatch.setattr(trades, "_READ_BYTES", 64 if i % 2 else 1 << 18)
+        loop = _outcome(_parsed(TradeTable._parse_rows, path))
+        assert _outcome(_parsed(TradeTable.from_csv, path)) == loop, body
+        plain = trades._parse_plain(path)
+        assert plain is None or _outcome(plain) == loop, body
+        firms, stocks = trades._Interner(), trades._Interner()
+        try:
+            block = trades._parse_block(body, 8, firms, stocks)
+        except ValueError:
+            block = None
+        if block is not None:
+            assert _outcome(TradeTable(*block[0], firms.ids, stocks.ids)) == loop, body
+        accepted += plain is not None
+    # Enough tapes take the fast path for its agreement to mean something.
+    assert accepted >= 50
+
+
 def test_block_parse_memory_is_the_columns_and_a_few_blocks(tmp_path, monkeypatch):
     # The columns are allocated once and each block parses into its rows of
     # them, so the peak is the columns plus a bounded multiple of one block
-    # (its temporaries come to ~14 times its size), however long the tape.
+    # (its temporaries come to ~10 times its size), however long the tape.
     monkeypatch.setattr(trades, "_READ_BYTES", 1 << 16)
     path = tmp_path / "tape.csv"
     path.write_text(HEADER + "".join(_tape_lines(120_000)))
