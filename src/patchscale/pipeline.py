@@ -24,9 +24,8 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -55,6 +54,11 @@ STAGE_SETTINGS = {
 INGESTED_ARRAYS = ("signed_values", "timestamps", "offsets")
 # Every file under ingested/; activity.json records the sha256 of each.
 INGESTED_FILES = (*(f"{name}.npy" for name in INGESTED_ARRAYS), "series.json")
+# Every file analyze writes under analysis/<stock dir>/; analysis/stocks.json
+# records the sha256 of each, keyed "<stock dir>/<file>".
+ANALYSIS_FILES = (
+    "tails.json", "allometry.json", "lognormality.json", "lognormality.csv", "per_firm_exponents.csv", "summary.json"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,6 +228,10 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
+def _str_values(value) -> bool:
+    return isinstance(value, dict) and all(map(_is_str, value.values()))
+
+
 # Per recorded artifact, the stage that writes it and the keys later stages
 # index, each with a test of its value.
 _RECORD_KEYS = {
@@ -231,7 +239,7 @@ _RECORD_KEYS = {
         "n_trades": lambda v: isinstance(v, int),
         "span": lambda v: v is None or isinstance(v, list),
         "tape_sha256": _is_str,
-        "ingested_sha256": lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
+        "ingested_sha256": _str_values,
         "qualified_firms": lambda v: isinstance(v, list) and all(map(_is_str, v)),
     }),
     "segmentations.json": ("segment", {
@@ -239,36 +247,43 @@ _RECORD_KEYS = {
         and all(isinstance(e, dict) and _is_str(e.get("stock_id")) for e in v),
     }),
     "analysis/stocks.json": ("analyze", {
-        "stocks": lambda v: isinstance(v, dict) and all(map(_is_str, v.values())),
+        # Each stock's directory is the one analyze names it, inside analysis/.
+        "stocks": lambda v: _str_values(v) and v == stock_dir_names(list(v)),
+        "analysis_sha256": _str_values,
     }),
 }
 
 
+def _read_record(config: RunConfig, artifact: str) -> dict:
+    """A stage's record; DataError unless it is an object holding the keys
+    later stages index and config agrees with every setting it holds."""
+    path = config.out() / artifact
+    recorded = _read_json(path)
+    stage, keys = _RECORD_KEYS[artifact]
+    if not isinstance(recorded, dict):
+        raise DataError(f"{path}: expected a JSON object; run {stage} again")
+    for key, valid in keys.items():
+        if key not in recorded or not valid(recorded[key]):
+            raise DataError(f"{path}: {key} is missing or malformed; run {stage} again")
+    for name in STAGE_SETTINGS[artifact]:
+        if name in recorded and recorded[name] != getattr(config, name):
+            raise DataError(
+                f"{path} was written with {name} = {recorded[name]!r}, but this run has "
+                f"{name} = {getattr(config, name)!r}; give every stage the same settings"
+            )
+    return recorded
+
+
 def _read_records(config: RunConfig, before: str | None = None, required: tuple[str, ...] = ()) -> dict:
-    """Read, by artifact, the records of the stages that run before the one
-    writing before (of every stage when None): those that exist and the
-    required ones.  DataError unless each is an object holding the keys later
-    stages index and config agrees with every setting it holds.
-    """
+    """Read and check, by artifact, the records of the stages that run before
+    the one writing before (of every stage when None): those that exist and
+    the required ones."""
     records = {}
-    for artifact, names in STAGE_SETTINGS.items():
+    for artifact in STAGE_SETTINGS:
         if artifact == before:
             break
-        path = config.out() / artifact
-        if artifact in required or path.is_file():
-            records[artifact] = recorded = _read_json(path)
-            stage, keys = _RECORD_KEYS[artifact]
-            if not isinstance(recorded, dict):
-                raise DataError(f"{path}: expected a JSON object; run {stage} again")
-            for key, valid in keys.items():
-                if key not in recorded or not valid(recorded[key]):
-                    raise DataError(f"{path}: {key} is missing or malformed; run {stage} again")
-            for name in names:
-                if name in recorded and recorded[name] != getattr(config, name):
-                    raise DataError(
-                        f"{path} was written with {name} = {recorded[name]!r}, but this run has "
-                        f"{name} = {getattr(config, name)!r}; give every stage the same settings"
-                    )
+        if artifact in required or (config.out() / artifact).is_file():
+            records[artifact] = _read_record(config, artifact)
     return records
 
 
@@ -282,6 +297,20 @@ def _tape_path(config: RunConfig) -> Path:
 def _sha256(path: Path) -> str:
     with open(path, "rb") as handle:
         return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+def _check_digests(record: Path, digests: dict, directory: Path, names, rerun: str) -> None:
+    """DataError, saying to rerun, unless each named file under directory has
+    the sha256 that digests, from the record at path record, holds for it."""
+    for name in names:
+        # A record of an older layout holds none of these names.
+        path, expected = directory / name, digests.get(name)
+        try:
+            digest = _sha256(path)
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read it ({exc}); {rerun}") from None
+        if digest != expected:
+            raise DataError(f"{path} has sha256 {digest}, but {record} records {expected}; {rerun}")
 
 
 def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
@@ -327,19 +356,10 @@ def _load_ingested(config: RunConfig, activity: dict) -> SeriesColumns:
             f"{activity['tape_sha256']}; run ingest on this tape first"
         )
     directory = config.out() / "ingested"
-    rerun = "run ingest on this tape again"
-    for name in INGESTED_FILES:
-        # An activity.json of an older ingested/ layout records none of these files.
-        path, recorded = directory / name, activity["ingested_sha256"].get(name)
-        try:
-            digest = _sha256(path)
-        except OSError as exc:
-            raise DataError(f"{path}: cannot read the ingested file ({exc}); {rerun}") from None
-        if digest != recorded:
-            raise DataError(
-                f"{path} has sha256 {digest}, but {config.out() / 'activity.json'} records "
-                f"{recorded}; {rerun}"
-            )
+    _check_digests(
+        config.out() / "activity.json", activity["ingested_sha256"], directory, INGESTED_FILES,
+        "run ingest on this tape again",
+    )
     # Each file is the one ingest wrote from a validated table.
     arrays = {name: np.load(directory / f"{name}.npy", allow_pickle=False) for name in INGESTED_ARRAYS}
     pairs = [tuple(pair) for pair in json.loads((directory / "series.json").read_text(encoding="utf-8"))]
@@ -482,30 +502,7 @@ def _tail_section(values: np.ndarray, variable: str, config: RunConfig) -> dict:
         fit = tails.hill(positive, k, variable=variable)
     except NumericalError as exc:
         return {"status": "insufficient data", "reason": str(exc), "n": int(len(positive))}
-    return {
-        "variable": fit.variable,
-        "zeta": fit.zeta,
-        "ci95": list(fit.ci95),
-        "k": fit.k,
-        "x_k": fit.x_k,
-        "n": fit.n,
-        "convention": tails.TAIL_CONVENTION,
-        "k_policy": used,
-    }
-
-
-def _allometric_payload(fit: allometry.AllometricFit) -> dict:
-    return {
-        "mode": fit.mode,
-        "g1": fit.g1,
-        "g2": fit.g2,
-        "g3": fit.g3,
-        "ci95s": {name: list(ci) for name, ci in fit.ci95s.items()},
-        "explained_variance": fit.explained_variance,
-        "n_points": fit.n_points,
-        "B": fit.B,
-        "seed": fit.seed,
-    }
+    return {**asdict(fit), "convention": tails.TAIL_CONVENTION, "k_policy": used}
 
 
 def _lognormality_sections(
@@ -579,8 +576,7 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
     )
     for mode, fit in (("trivariate", allometry._trivariate_fit), ("bivariate", allometry._bivariate_fit)):
         try:
-            payload = fit(points, config.bootstrap_samples, bootstrap_seed, resample)
-            allo[mode] = _allometric_payload(payload)
+            allo[mode] = asdict(fit(points, config.bootstrap_samples, bootstrap_seed, resample))
         except (NumericalError, ValueError) as exc:
             allo[mode] = {"status": "insufficient data", "reason": str(exc)}
 
@@ -619,40 +615,43 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
     bootstrap_seed = int(np.random.SeedSequence([config.seed, 3]).generate_state(1)[0])
     names = stock_dir_names(list(by_stock))
     analysis: dict[str, dict] = {}
+    digests: dict[str, str] = {}
     for stock_id in sorted(by_stock):
         result = analyze_stock(by_stock[stock_id], config, bootstrap_seed)
         stock_out = config.out() / "analysis" / names[stock_id]
         stock_out.mkdir(parents=True, exist_ok=True)
         _write_json(stock_out / "tails.json", result["tails"])
         _write_json(stock_out / "allometry.json", result["allometry"])
-        _write_json(
-            stock_out / "lognormality.json",
-            {
-                "per_firm": result["lognormality"]["per_firm"],
-                "pooled": result["lognormality"]["pooled"],
-            },
-        )
+        _write_json(stock_out / "lognormality.json", result["lognormality"])
+        # csv writes a float as its repr.
         _write_csv(
             stock_out / "lognormality.csv",
-            ("firm_id", "variable", "n", "jb_stat", "critical_value", "reject"),
-            (
-                (r.firm_id, r.variable, r.n, repr(r.jb_stat), repr(r.critical_value), r.reject)
-                for r in sorted(result["_jb_rows"], key=lambda r: (r.firm_id, r.variable))
-            ),
+            [f.name for f in fields(lognormal.LognormalityResult)],
+            map(astuple, sorted(result["_jb_rows"], key=attrgetter("firm_id", "variable"))),
         )
         _write_csv(
             stock_out / "per_firm_exponents.csv",
-            ("firm_id", "n_patches", "g1", "g2", "g3"),
-            (
-                (f.firm_id, f.n_patches, repr(f.g1), repr(f.g2), repr(f.g3))
-                for f in result["_firm_fits"].values()
-            ),
+            [f.name for f in fields(allometry.FirmExponents)],
+            map(astuple, result["_firm_fits"].values()),
         )
         summary = {key: value for key, value in result.items() if not key.startswith("_")}
         _write_json(stock_out / "summary.json", summary)
         analysis[stock_id] = summary
-    _write_record(config, "analysis/stocks.json", {"stocks": names})
+        digests.update({f"{names[stock_id]}/{name}": _sha256(stock_out / name) for name in ANALYSIS_FILES})
+    _write_record(config, "analysis/stocks.json", {"stocks": names, "analysis_sha256": digests})
     return analysis
+
+
+def _analysis_dirs(config: RunConfig, record: dict) -> dict[str, str]:
+    """The analysis/ directory name of each stock in analyze's record, once
+    every file in it is shown to be the one analyze wrote; DataError otherwise."""
+    names = record["stocks"]
+    _check_digests(
+        config.out() / "analysis/stocks.json", record["analysis_sha256"], config.out() / "analysis",
+        [f"{names[stock_id]}/{name}" for stock_id in sorted(names) for name in ANALYSIS_FILES],
+        "run analyze again",
+    )
+    return names
 
 
 def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[str, str]]:
@@ -668,15 +667,22 @@ def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[str, str]]:
 
 
 def emit_plot_data(config: RunConfig) -> list[Path]:
-    """CCDF, log-log scatter with fitted axis, and exponent histogram CSVs."""
-    rows = read_patch_rows(config.out() / "patches.csv")
+    """CCDF, log-log scatter with fitted axis, and exponent histogram CSVs
+    for every stock of patches.csv, which must be the stocks analyze recorded."""
+    names = _analysis_dirs(config, _read_record(config, "analysis/stocks.json"))
+    patches_path = config.out() / "patches.csv"
     by_stock: dict[str, list[PatchRecord]] = {}
-    for row in rows:
+    for row in read_patch_rows(patches_path):
         by_stock.setdefault(row.stock_id, []).append(row)
-    names = stock_dir_names(list(by_stock))
+    if by_stock.keys() != names.keys():
+        raise DataError(
+            f"{patches_path} holds other stocks than {config.out() / 'analysis/stocks.json'} "
+            "records; run analyze again"
+        )
     written: list[Path] = []
     for stock_id in sorted(by_stock):
         stock_out = config.out() / "plots" / names[stock_id]
+        analysis = config.out() / "analysis" / names[stock_id]
         directional = patches.select_directional(by_stock[stock_id], config.min_patch_trades)
         values = patches.variables(directional)
         for variable in VARIABLES:
@@ -686,9 +692,8 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             _write_csv(path, ("x", "p"), ((repr(x), repr(p)) for x, p in pairs))
             written.append(path)
 
-        allo_path = config.out() / "analysis" / names[stock_id] / "allometry.json"
-        allo = _read_json(allo_path)
-        slopes = allo.get("bivariate", {})
+        # Each analysis file is the one analyze wrote: no field needs a check.
+        slopes = json.loads((analysis / "allometry.json").read_text(encoding="utf-8"))["bivariate"]
         pts, _ = allometry.log_points(directional)
         for name, columns in allometry.PAIRS.items():
             pair_pts = pts[:, columns]
@@ -702,33 +707,17 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             )
             written.append(scatter)
             axis_path = stock_out / f"axis_{label}.csv"
-            if len(pair_pts) and isinstance(slopes.get(name), (int, float)):
-                axis_rows = _axis_rows(pair_pts, float(slopes[name]))
+            if len(pair_pts) and name in slopes:
+                axis_rows = _axis_rows(pair_pts, slopes[name])
             else:
                 axis_rows = []
             _write_csv(axis_path, ("log_x", "log_y"), axis_rows)
             written.append(axis_path)
 
-        exponents_path = config.out() / "analysis" / names[stock_id] / "per_firm_exponents.csv"
-        if not exponents_path.is_file():
-            raise DataError(f"missing artifact {exponents_path}; run the analyze stage first")
-        firm_values: dict[str, list[float]] = {"g1": [], "g2": [], "g3": []}
-        with open(exponents_path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(utf8_lines(exponents_path, handle))
-            for record in reader:
-                for name, vals in firm_values.items():
-                    text = record.get(name)
-                    try:
-                        value = float(text)  # type: ignore[arg-type]
-                    except (TypeError, ValueError):  # a missing or non-numeric field
-                        value = math.nan
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{exponents_path}: line {reader.line_num}: {name} must be a finite "
-                            f"number, got {text!r}"
-                        )
-                    vals.append(value)
-        for name, vals in firm_values.items():
+        with open(analysis / "per_firm_exponents.csv", encoding="utf-8", newline="") as handle:
+            firm_fits = list(csv.DictReader(handle))
+        for name in ("g1", "g2", "g3"):
+            vals = [float(fit[name]) for fit in firm_fits]
             path = stock_out / f"hist_{name}.csv"
             if vals:
                 counts, edges = np.histogram(vals, bins=20)
@@ -836,14 +825,14 @@ def run_report(config: RunConfig) -> dict:
     out = config.out()
     records = _read_records(config, required=("segmentations.json", "analysis/stocks.json"))
     segmentations = records["segmentations.json"]
-    names = records["analysis/stocks.json"]["stocks"]
+    names = _analysis_dirs(config, records["analysis/stocks.json"])
     series_per_stock: dict[str, int] = {}
     for entry in segmentations["series"]:
         series_per_stock[entry["stock_id"]] = series_per_stock.get(entry["stock_id"], 0) + 1
 
     stocks: dict[str, dict] = {}
     for stock_id in sorted(names):
-        summary = _read_json(out / "analysis" / names[stock_id] / "summary.json")
+        summary = json.loads((out / "analysis" / names[stock_id] / "summary.json").read_text(encoding="utf-8"))
         summary["counts"]["series"] = series_per_stock.get(stock_id, 0)
         stocks[stock_id] = summary
 
@@ -862,9 +851,10 @@ def run_report(config: RunConfig) -> dict:
             "patches_total": sum(s["counts"]["patches_total"] for s in stocks.values()),
         },
     }
+    # The plots come first: they check patches.csv, so a refused report writes nothing.
+    emit_plot_data(config)
     _write_json(out / "report.json", report)
     _report_tables(config, report)
-    emit_plot_data(config)
     return report
 
 

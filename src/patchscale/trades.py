@@ -189,23 +189,24 @@ class _Interner:
         return lookup[inverse.reshape(-1)]
 
 
-def _tokenize(text: str, width: int) -> np.ndarray:
-    """A block's rows as numpy's C tokenizer reads them, ids cut to width bytes."""
-    dtype = [("timestamp", np.int64), ("firm", f"S{width}"), ("stock", f"S{width}"), ("side", "S2"), ("value", np.float64)]
+def _tokenize(text: str, widths: tuple[int, int]) -> np.ndarray:
+    """A block's rows as numpy's C tokenizer reads them, firm and stock ids cut to their widths in bytes."""
+    firm, stock = widths
+    dtype = [("timestamp", np.int64), ("firm", f"S{firm}"), ("stock", f"S{stock}"), ("side", "S2"), ("value", np.float64)]
     with warnings.catch_warnings():
         # A block of blank lines reads as no rows, which the row count declines.
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _parse_block(block: bytes, width: int, firms: _Interner, stocks: _Interner) -> tuple | None:
-    """Columns of a block of whole LF-terminated tape lines and the id width for
-    the next block, or None if any check fails.
+def _parse_block(block: bytes, widths: tuple[int, int], firms: _Interner, stocks: _Interner) -> tuple | None:
+    """Columns of a block of whole LF-terminated tape lines and the firm and
+    stock id widths for the next block, or None if any check fails.
 
-    Ids are read at width bytes; a block that has an id of that width, which
-    may have been cut, is read again at its longest line.  The next block is
-    read at the longest id's width plus one, and at least 8.  Raises
-    ValueError on a field numpy cannot parse, or a block that is not UTF-8.
+    Each id column is read at its own width; one with an id of that width,
+    which may have been cut, is read again at the block's longest line.  The
+    next block reads each at its longest id's width plus one, and at least 8.
+    Raises ValueError on a field numpy cannot parse, or a non-UTF-8 block.
     """
     if any(byte in block for byte in _ROW_LOOP_BYTES):
         return None
@@ -216,16 +217,17 @@ def _parse_block(block: bytes, width: int, firms: _Interner, stocks: _Interner) 
     if not text.isascii():
         text = block.decode("latin-1")
 
-    def longest_id(rows: np.ndarray) -> int:
-        return int(max(np.char.str_len(rows[key]).max() for key in ("firm", "stock")))
+    def longest_ids(rows: np.ndarray) -> tuple[int, ...]:
+        return tuple(int(np.char.str_len(rows[key]).max()) for key in ("firm", "stock"))
 
-    rows = _tokenize(text, width)
+    rows = _tokenize(text, widths)
     if len(rows) != block.count(b"\n"):  # numpy skips blank lines
         return None
-    longest = longest_id(rows)
-    if longest == width:
-        rows = _tokenize(text, max(map(len, block.split(b"\n"))))
-        longest = longest_id(rows)
+    longest = longest_ids(rows)
+    if any(size == width for size, width in zip(longest, widths)):
+        line = max(map(len, block.split(b"\n")))
+        rows = _tokenize(text, tuple(line if size == width else width for size, width in zip(longest, widths)))
+        longest = longest_ids(rows)
     timestamps, sides, values = rows["timestamp"], rows["side"], rows["value"]
     if not (timestamps.min() >= 0 and timestamps.max() <= _MAX_TIMESTAMP):
         return None
@@ -240,7 +242,8 @@ def _parse_block(block: bytes, width: int, firms: _Interner, stocks: _Interner) 
         return interner.encode(keys.view(np.uint64) if keys.itemsize == 8 else keys)
 
     signs = np.where(buys, 1, -1).astype(np.int8)
-    return (timestamps, ids("firm", firms), ids("stock", stocks), signs, values), max(longest + 1, 8)
+    next_widths = tuple(max(size + 1, 8) for size in longest)
+    return (timestamps, ids("firm", firms), ids("stock", stocks), signs, values), next_widths
 
 
 def _parse_plain(path: str | Path) -> TradeTable | None:
@@ -265,7 +268,7 @@ def _parse_plain(path: str | Path) -> TradeTable | None:
         handle.seek(len(_HEADER_LINE))
         columns = [np.empty(n, dtype) for dtype in (np.int64, np.int32, np.int32, np.int8, np.float64)]
         # Ids of up to 8 bytes are interned as uint64 keys.
-        filled, tail, width = 0, b"", 8
+        filled, tail, widths = 0, b"", (8, 8)
         while chunk := handle.read(_READ_BYTES):
             buffer = tail + chunk
             cut = buffer.rfind(b"\n") + 1
@@ -273,12 +276,12 @@ def _parse_plain(path: str | Path) -> TradeTable | None:
             if not block:
                 continue
             try:
-                parsed = _parse_block(block, width, firms, stocks)
+                parsed = _parse_block(block, widths, firms, stocks)
             except ValueError:  # an unparsable field, or a block that is not UTF-8
                 return None
             if parsed is None or filled + len(parsed[0][0]) > n:
                 return None
-            parts, width = parsed
+            parts, widths = parsed
             rows = slice(filled, filled + len(parts[0]))
             for column, part in zip(columns, parts):
                 column[rows] = part

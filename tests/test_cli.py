@@ -541,6 +541,8 @@ def test_staged_run_that_qualifies_no_firm_segments_nothing(small_run, tmp_path)
     ],
 )
 def test_corrupt_per_firm_exponents_is_data_error(small_run, tmp_path, capsys, value, fault):
+    # fault is what a check of the row would find; the file's recorded sha256
+    # refuses it first, whatever the fault.
     config, _ = small_run
     out = tmp_path / "out"
     shutil.copytree(config.out(), out)
@@ -551,7 +553,79 @@ def test_corrupt_per_firm_exponents_is_data_error(small_run, tmp_path, capsys, v
     lines[2] = ",".join(cells)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
-    assert f"{path}: line 3: {fault}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path} has sha256 " in err and "run analyze again" in err
+    assert fault not in err
+
+
+def _json_edit(edit):
+    """Damage that rewrites a JSON file as edit makes it; the string "1e309" is written as a bare number."""
+
+    def damage(path):
+        data = edit(json.loads(path.read_text()))
+        path.write_text(json.dumps(data).replace('"1e309"', "1e309"))
+
+    return damage
+
+
+def _set_in(keys, value):
+    def edit(data):
+        inner = data
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        return data
+
+    return edit
+
+
+def _drop_digests(data):
+    del data["analysis_sha256"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "artifact,damage,fault",
+    [
+        ("analysis/SYN/summary.json", _json_edit(lambda data: {}), "has sha256"),
+        ("analysis/SYN/allometry.json", _json_edit(lambda data: []), "has sha256"),
+        ("analysis/SYN/summary.json", _json_edit(_set_in(("tails", "T", "zeta"), "abc")), "has sha256"),
+        ("analysis/SYN/allometry.json", _json_edit(_set_in(("bivariate", "g1"), "1e309")), "has sha256"),
+        ("analysis/SYN/lognormality.csv", _unlink, "cannot read it"),
+        ("analysis/stocks.json", _json_edit(_set_in(("stocks", "SYN"), "../../x")), "stocks is missing or malformed"),
+        # A record written before analyze recorded its files' digests.
+        ("analysis/stocks.json", _json_edit(_drop_digests), "analysis_sha256 is missing or malformed"),
+    ],
+    ids=["empty summary", "allometry list", "text zeta", "overflowing g1", "missing csv", "dir outside", "no digests"],
+)
+def test_edited_analysis_file_is_data_error(small_run, tmp_path, capsys, artifact, damage, fault):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    path = out / artifact
+    damage(path)
+    (out / "report.json").unlink()
+    assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}" in err and fault in err and "run analyze again" in err
+    assert not (out / "report.json").exists()
+
+
+def test_patches_of_a_stock_analyze_did_not_record_is_data_error(small_run, tmp_path, capsys):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    path = out / "patches.csv"
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[-1][rows[0].index("stock_id")] = "OTHER"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    (out / "report.json").unlink()
+    assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path} holds other stocks than {out / 'analysis' / 'stocks.json'}" in err
+    assert not (out / "report.json").exists()
 
 
 # Every flag of the README's Key settings table: (value given, RunConfig field, parsed value).

@@ -1,6 +1,7 @@
 """Staged pipeline artifacts, re-runnability, determinism, and failure handling."""
 
 import csv
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -294,6 +295,24 @@ def test_insufficient_data_markers_instead_of_crash(tmp_path):
         assert section["lognormality"]["per_firm"][variable]["status"] == "insufficient data"
 
 
+def test_analyze_records_the_digest_of_every_file_it_writes(tmp_path):
+    # Two stocks, one whose id is not a safe directory name.
+    tape = tmp_path / "tape.csv"
+    write_tape([*_ONE_FLIP, *((t, f, "A/B", s, v) for t, f, _, s, v in _ONE_FLIP)], tape)
+    config = RunConfig(
+        output_dir=str(tmp_path / "out"), tape=str(tape), min_trades_per_year=0, min_active_days=0, bootstrap_samples=400
+    )
+    run_pipeline(config)
+    analysis = config.out() / "analysis"
+    record = json.loads((analysis / "stocks.json").read_text())
+    assert record["stocks"] == {"A/B": "A_B", "SAN": "SAN"}
+    written = {path.relative_to(analysis).as_posix() for path in analysis.rglob("*") if path.is_file()}
+    expected = {f"{name}/{file}" for name in record["stocks"].values() for file in pipeline.ANALYSIS_FILES}
+    assert written - {"stocks.json"} == expected == set(record["analysis_sha256"])
+    for name, digest in record["analysis_sha256"].items():
+        assert hashlib.sha256((analysis / name).read_bytes()).hexdigest() == digest
+
+
 def test_missing_artifact_points_to_producing_stage(tmp_path):
     config = RunConfig(output_dir=str(tmp_path / "empty"), bootstrap_samples=400)
     with pytest.raises(DataError, match="run the .* stage first"):
@@ -396,7 +415,7 @@ def test_analyze_draws_one_resample_set_per_stock(small_run, monkeypatch):
     points, _ = allometry.log_points(patches.select_directional(rows, config.min_patch_trades))
     for mode, fit in (("trivariate", allometry.trivariate_fit), ("bivariate", allometry.bivariate_fit)):
         alone = fit(points, config.bootstrap_samples, 5)
-        assert fits[mode]["ci95s"] == {name: list(ci) for name, ci in alone.ci95s.items()}
+        assert fits[mode]["ci95s"] == alone.ci95s
 
 
 def test_parse_k_policy():

@@ -147,6 +147,9 @@ FAST_TAPES = {
     + "12,FIRM-NUMBER-9,S1,S,1.0\n13,F1,S1,B,2.0\n"
     + "".join(f"{t},F{t % 3},S2,S,{t}.25\n" for t in range(14, 24))
     + "24,F1,STOCK-WITH-A-LONGER-NAME,B,3.0\n25,FIRM-NUMBER-9,S1,S,4.0\n26,F2,S1,B,5.0\n",
+    # 16-byte firm ids, one of 300 bytes on line 2, and stock ids of under 8 bytes.
+    "long firm ids, short stock ids": "1,FIRM-LONGNAME-0,S1,B,1.0\n2," + "F" * 300 + ",STOCK-1,S,2.0\n"
+    + "".join(f"{t},FIRM-LONGNAME-{t % 4},S{t % 3},B,{t}.5\n" for t in range(3, 30)),
 }
 
 FALLBACK_TAPES = {
@@ -186,6 +189,21 @@ def test_block_parse_matches_row_loop(tmp_path, monkeypatch, name):
     monkeypatch.setattr(trades, "_READ_BYTES", 64)
     _assert_same_table(trades._parse_plain(path), loop)
     _assert_same_table(TradeTable.from_csv(path), loop)
+
+
+def test_each_id_column_is_read_at_its_own_width(tmp_path, monkeypatch):
+    # One long firm id widens the firm column only: stock ids stay uint64 keys.
+    path = tmp_path / "tape.csv"
+    path.write_text(HEADER + FAST_TAPES["long firm ids, short stock ids"], encoding="utf-8")
+    widths = []
+    tokenize = trades._tokenize
+    monkeypatch.setattr(trades, "_tokenize", lambda text, w: widths.append(w) or tokenize(text, w))
+    for block_bytes in (64, 1 << 18):
+        monkeypatch.setattr(trades, "_READ_BYTES", block_bytes)
+        widths.clear()
+        assert trades._parse_plain(path) is not None
+        assert {stock for _, stock in widths} == {8}
+        assert max(firm for firm, _ in widths) > 300
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_TAPES))
@@ -324,7 +342,7 @@ def test_fast_path_agrees_with_the_row_loop_on_fuzzed_tapes(tmp_path, monkeypatc
         assert plain is None or _outcome(plain) == loop, body
         firms, stocks = trades._Interner(), trades._Interner()
         try:
-            block = trades._parse_block(body, 8, firms, stocks)
+            block = trades._parse_block(body, (8, 8), firms, stocks)
         except ValueError:
             block = None
         if block is not None:
