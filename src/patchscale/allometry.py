@@ -3,7 +3,8 @@
 Slopes are ratios of leading-eigenvector components of the covariance
 matrix of natural logs, with percentile-bootstrap confidence intervals.
 Each fit draws one set of row resamples, shared by its three exponents, and
-the pipeline shares one set between a stock's two fits.  A resample is held
+a one-entry memo shares that set between two fits of the same cloud, B and
+seed, such as a stock's trivariate and bivariate fits.  A resample is held
 as counts, how often it drew each distinct row, so its covariance comes from
 count-weighted moments (Efron & Tibshirani 1993); a resample that drew a
 single distinct row is marked degenerate exactly and fails, whatever the
@@ -12,8 +13,9 @@ rounding of its moments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -183,6 +185,16 @@ def _resampled_covariances(pts: np.ndarray, B: int, seed: int) -> np.ndarray:
     return covs
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_covariances(cloud: bytes, shape: tuple[int, int], B: int, seed: int) -> np.ndarray:
+    """Read-only _resampled_covariances of the float64 cloud with these bytes
+    and shape, memoized, so that the next fit of that cloud, B and seed
+    draws nothing."""
+    covs = _resampled_covariances(np.frombuffer(cloud).reshape(shape), B, seed)
+    covs.flags.writeable = False
+    return covs
+
+
 def _leading_axes(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leading eigenvector of each covariance, and where it is not unique.
 
@@ -223,15 +235,8 @@ def trivariate_fit(
     three when its principal axis is not unique or has a_V = 0.
     """
     pts = np.asarray(points, dtype=np.float64)
-    return _trivariate_fit(pts, B, seed, lambda: _resampled_covariances(pts, B, seed))
-
-
-def _trivariate_fit(
-    points, B: int, seed: int, resample: Callable[[], np.ndarray]
-) -> AllometricFit:
-    """trivariate_fit, with its resampled covariances from resample()."""
-    fit = pca3(points)
-    lead, failed = _leading_axes(resample())
+    fit = pca3(pts)
+    lead, failed = _leading_axes(_shared_covariances(pts.tobytes(), pts.shape, B, seed))
     a_t, a_n, a_v = lead.T
     failed |= a_v == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -262,14 +267,6 @@ def bivariate_fit(
     covariances.
     """
     pts = np.asarray(points, dtype=np.float64)
-    return _bivariate_fit(pts, B, seed, lambda: _resampled_covariances(pts, B, seed))
-
-
-def _bivariate_fit(
-    points, B: int, seed: int, resample: Callable[[], np.ndarray]
-) -> AllometricFit:
-    """bivariate_fit, with its resampled covariances from resample()."""
-    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (m, 3) points, got shape {pts.shape}")
     slopes: dict[str, float] = {}
@@ -282,7 +279,7 @@ def _bivariate_fit(
         # points, so errors keep their order: each pair's point fit, then its
         # CI, pair by pair.
         if covs is None:
-            covs = resample()
+            covs = _shared_covariances(pts.tobytes(), pts.shape, B, seed)
         lead, failed = _leading_axes(covs[:, columns][:, :, columns])
         with np.errstate(divide="ignore", invalid="ignore"):
             ci95s[name] = _percentile_ci(lead[:, 1] / lead[:, 0], failed)

@@ -21,7 +21,6 @@ significance null ([seed, 2]) and the bootstrap ([seed, 3]).
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import re
@@ -232,8 +231,9 @@ def _str_values(value) -> bool:
     return isinstance(value, dict) and all(map(_is_str, value.values()))
 
 
-# Per recorded artifact, the stage that writes it and the keys later stages
-# index, each with a test of its value.
+# Per recorded artifact, the stage that writes it, the keys later stages
+# index, each with a test of its value, and, for each file of the output
+# directory that the stage read or wrote, the key holding its sha256.
 _RECORD_KEYS = {
     "activity.json": ("ingest", {
         "n_trades": lambda v: isinstance(v, int),
@@ -241,28 +241,26 @@ _RECORD_KEYS = {
         "tape_sha256": _is_str,
         "ingested_sha256": _str_values,
         "qualified_firms": lambda v: isinstance(v, list) and all(map(_is_str, v)),
-    }),
-    "segmentations.json": ("segment", {
-        "series": lambda v: isinstance(v, list)
-        and all(isinstance(e, dict) and _is_str(e.get("stock_id")) for e in v),
-    }),
+    }, {}),
+    "segmentations.json": ("segment", {}, {"activity.json": "activity_sha256", "patches.csv": "patches_sha256"}),
     "analysis/stocks.json": ("analyze", {
         # Each stock's directory is the one analyze names it, inside analysis/.
         "stocks": lambda v: _str_values(v) and v == stock_dir_names(list(v)),
         "analysis_sha256": _str_values,
-    }),
+    }, {"patches.csv": "patches_sha256"}),
 }
 
 
 def _read_record(config: RunConfig, artifact: str) -> dict:
     """A stage's record; DataError unless it is an object holding the keys
-    later stages index and config agrees with every setting it holds."""
+    later stages index, config agrees with every setting it holds, and each
+    file it names that is in the output directory has the recorded sha256."""
     path = config.out() / artifact
     recorded = _read_json(path)
-    stage, keys = _RECORD_KEYS[artifact]
+    stage, keys, links = _RECORD_KEYS[artifact]
     if not isinstance(recorded, dict):
         raise DataError(f"{path}: expected a JSON object; run {stage} again")
-    for key, valid in keys.items():
+    for key, valid in {**keys, **dict.fromkeys(links.values(), _is_str)}.items():
         if key not in recorded or not valid(recorded[key]):
             raise DataError(f"{path}: {key} is missing or malformed; run {stage} again")
     for name in STAGE_SETTINGS[artifact]:
@@ -271,6 +269,10 @@ def _read_record(config: RunConfig, artifact: str) -> dict:
                 f"{path} was written with {name} = {recorded[name]!r}, but this run has "
                 f"{name} = {getattr(config, name)!r}; give every stage the same settings"
             )
+    _check_digests(
+        path, {name: recorded[key] for name, key in links.items()}, config.out(),
+        [name for name in links if (config.out() / name).is_file()], f"run {stage} again",
+    )
     return recorded
 
 
@@ -443,10 +445,11 @@ def run_segment(config: RunConfig, series: SeriesColumns | None = None) -> Path:
             patches.record(patch, patches.classify(patch, config.theta))
             for patch in patches.cut_patches(one, seg)
         )
-    _write_record(config, "segmentations.json", {"counts": counts, "series": exports})
     path = config.out() / "patches.csv"
     # csv writes None as an empty field and a float as its repr.
     _write_csv(path, PATCH_CSV_HEADER, map(_patch_csv_row, records))
+    digests = {"activity_sha256": _sha256(config.out() / "activity.json"), "patches_sha256": _sha256(path)}
+    _write_record(config, "segmentations.json", {"counts": counts, "series": exports, **digests})
     return path
 
 
@@ -552,6 +555,7 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
     non_directional = sum(1 for row in big_enough if row.direction == NON_DIRECTIONAL)
     directional = patches.select_directional(rows, config.min_patch_trades)
     counts = {
+        "series": len({row.firm_id for row in rows}),
         "patches_total": total,
         "patches_below_min_trades": below_min,
         "patches_non_directional": non_directional,
@@ -570,13 +574,10 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
     points, skipped_log = allometry.log_points(directional)
     counts["patches_zero_duration"] = skipped_log
     allo: dict = {}
-    # Both fits take their CIs from one set of resamples, drawn when first asked for.
-    resample = functools.cache(
-        functools.partial(allometry._resampled_covariances, points, config.bootstrap_samples, bootstrap_seed)
-    )
-    for mode, fit in (("trivariate", allometry._trivariate_fit), ("bivariate", allometry._bivariate_fit)):
+    # Both fits take their CIs from one set of resamples: the second finds the first's memoized.
+    for mode, fit in (("trivariate", allometry.trivariate_fit), ("bivariate", allometry.bivariate_fit)):
         try:
-            allo[mode] = asdict(fit(points, config.bootstrap_samples, bootstrap_seed, resample))
+            allo[mode] = asdict(fit(points, config.bootstrap_samples, bootstrap_seed))
         except (NumericalError, ValueError) as exc:
             allo[mode] = {"status": "insufficient data", "reason": str(exc)}
 
@@ -608,7 +609,8 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
     """Per-stock scaling statistics written under analysis/<stock>/."""
     # patches.csv alone can be analyzed; the earlier stages' records that are there must agree.
     _read_records(config, "analysis/stocks.json")
-    rows = read_patch_rows(config.out() / "patches.csv")
+    patches_path = config.out() / "patches.csv"
+    rows = read_patch_rows(patches_path)
     by_stock: dict[str, list[PatchRecord]] = {}
     for row in rows:
         by_stock.setdefault(row.stock_id, []).append(row)
@@ -638,7 +640,10 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
         _write_json(stock_out / "summary.json", summary)
         analysis[stock_id] = summary
         digests.update({f"{names[stock_id]}/{name}": _sha256(stock_out / name) for name in ANALYSIS_FILES})
-    _write_record(config, "analysis/stocks.json", {"stocks": names, "analysis_sha256": digests})
+    _write_record(
+        config, "analysis/stocks.json",
+        {"stocks": names, "analysis_sha256": digests, "patches_sha256": _sha256(patches_path)},
+    )
     return analysis
 
 
@@ -654,31 +659,21 @@ def _analysis_dirs(config: RunConfig, record: dict) -> dict[str, str]:
     return names
 
 
-def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[str, str]]:
+def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[float, float]]:
     centroid = pair_pts.mean(axis=0)
     lo = float(pair_pts[:, 0].min())
     hi = float(pair_pts[:, 0].max())
     cx, cy = float(centroid[0]), float(centroid[1])
-    return [
-        (repr(lo), repr(cy + slope * (lo - cx))),
-        (repr(cx), repr(cy)),
-        (repr(hi), repr(cy + slope * (hi - cx))),
-    ]
+    return [(lo, cy + slope * (lo - cx)), (cx, cy), (hi, cy + slope * (hi - cx))]
 
 
 def emit_plot_data(config: RunConfig) -> list[Path]:
     """CCDF, log-log scatter with fitted axis, and exponent histogram CSVs
-    for every stock of patches.csv, which must be the stocks analyze recorded."""
+    for every stock of patches.csv, which must be the file analyze read."""
     names = _analysis_dirs(config, _read_record(config, "analysis/stocks.json"))
-    patches_path = config.out() / "patches.csv"
     by_stock: dict[str, list[PatchRecord]] = {}
-    for row in read_patch_rows(patches_path):
+    for row in read_patch_rows(config.out() / "patches.csv"):
         by_stock.setdefault(row.stock_id, []).append(row)
-    if by_stock.keys() != names.keys():
-        raise DataError(
-            f"{patches_path} holds other stocks than {config.out() / 'analysis/stocks.json'} "
-            "records; run analyze again"
-        )
     written: list[Path] = []
     for stock_id in sorted(by_stock):
         stock_out = config.out() / "plots" / names[stock_id]
@@ -689,7 +684,7 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             positive = values[variable][values[variable] > 0]
             pairs = tails.ccdf(positive) if len(positive) else []
             path = stock_out / f"ccdf_{variable}.csv"
-            _write_csv(path, ("x", "p"), ((repr(x), repr(p)) for x, p in pairs))
+            _write_csv(path, ("x", "p"), pairs)
             written.append(path)
 
         # Each analysis file is the one analyze wrote: no field needs a check.
@@ -700,11 +695,7 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             x_name, y_name = (VARIABLES[c] for c in columns)
             label = f"{name}_{y_name}_vs_{x_name}"
             scatter = stock_out / f"scatter_{label}.csv"
-            _write_csv(
-                scatter,
-                ("log_x", "log_y"),
-                ((repr(float(x)), repr(float(y))) for x, y in pair_pts),
-            )
+            _write_csv(scatter, ("log_x", "log_y"), pair_pts.tolist())
             written.append(scatter)
             axis_path = stock_out / f"axis_{label}.csv"
             if len(pair_pts) and name in slopes:
@@ -721,10 +712,7 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             path = stock_out / f"hist_{name}.csv"
             if vals:
                 counts, edges = np.histogram(vals, bins=20)
-                hist_rows = [
-                    (repr(float(edges[i])), repr(float(edges[i + 1])), int(counts[i]))
-                    for i in range(len(counts))
-                ]
+                hist_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
             else:
                 hist_rows = []
             _write_csv(path, ("bin_lo", "bin_hi", "count"), hist_rows)
@@ -742,16 +730,7 @@ def _report_tables(config: RunConfig, report: dict) -> None:
             fit = section["tails"][variable]
             if "zeta" in fit:
                 tails_rows.append(
-                    (
-                        stock_id,
-                        variable,
-                        repr(fit["zeta"]),
-                        repr(fit["ci95"][0]),
-                        repr(fit["ci95"][1]),
-                        fit["k"],
-                        repr(fit["x_k"]),
-                        fit["n"],
-                    )
+                    (stock_id, variable, fit["zeta"], *fit["ci95"], fit["k"], fit["x_k"], fit["n"])
                 )
             else:
                 tails_rows.append((stock_id, variable, "", "", "", "", "", fit.get("n", 0)))
@@ -760,9 +739,7 @@ def _report_tables(config: RunConfig, report: dict) -> None:
             if "g1" in fit:
                 for name in ("g1", "g2", "g3"):
                     ci = fit["ci95s"][name]
-                    allo_rows.append(
-                        (stock_id, mode, name, repr(fit[name]), repr(ci[0]), repr(ci[1]), fit["n_points"])
-                    )
+                    allo_rows.append((stock_id, mode, name, fit[name], *ci, fit["n_points"]))
         for variable in VARIABLES:
             per_firm = section["lognormality"]["per_firm"][variable]
             pooled = section["lognormality"]["pooled"][variable]
@@ -770,10 +747,10 @@ def _report_tables(config: RunConfig, report: dict) -> None:
                 (
                     stock_id,
                     variable,
-                    repr(per_firm["percent"]) if "percent" in per_firm else "",
+                    per_firm.get("percent", ""),
                     per_firm.get("passed", ""),
                     per_firm.get("tested", ""),
-                    repr(pooled["jb_stat"]) if "jb_stat" in pooled else "",
+                    pooled.get("jb_stat", ""),
                     pooled.get("reject", ""),
                 )
             )
@@ -823,18 +800,12 @@ def _report_tables(config: RunConfig, report: dict) -> None:
 def run_report(config: RunConfig) -> dict:
     """Compose report.json, its CSV tables, and the plot-data files."""
     out = config.out()
-    records = _read_records(config, required=("segmentations.json", "analysis/stocks.json"))
-    segmentations = records["segmentations.json"]
+    records = _read_records(config, required=("analysis/stocks.json",))
     names = _analysis_dirs(config, records["analysis/stocks.json"])
-    series_per_stock: dict[str, int] = {}
-    for entry in segmentations["series"]:
-        series_per_stock[entry["stock_id"]] = series_per_stock.get(entry["stock_id"], 0) + 1
-
-    stocks: dict[str, dict] = {}
-    for stock_id in sorted(names):
-        summary = json.loads((out / "analysis" / names[stock_id] / "summary.json").read_text(encoding="utf-8"))
-        summary["counts"]["series"] = series_per_stock.get(stock_id, 0)
-        stocks[stock_id] = summary
+    stocks = {
+        stock_id: json.loads((out / "analysis" / names[stock_id] / "summary.json").read_text(encoding="utf-8"))
+        for stock_id in sorted(names)
+    }
 
     config_echo = {name: getattr(config, name) for names in STAGE_SETTINGS.values() for name in names}
     config_echo["source"] = "synth" if config.synth is not None else ("tape" if config.tape else "artifacts")
@@ -844,7 +815,7 @@ def run_report(config: RunConfig) -> dict:
         "stocks": stocks,
         "totals": {
             "stocks": len(stocks),
-            "series": sum(series_per_stock.values()),
+            "series": sum(s["counts"]["series"] for s in stocks.values()),
             "patches_directional": sum(
                 s["counts"]["patches_directional"] for s in stocks.values()
             ),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from patchscale import allometry
 from patchscale.patches import Patch, PatchRecord
 from patchscale.pipeline import RunConfig, run_pipeline
 from patchscale.synth import small_preset
@@ -69,6 +70,13 @@ def make_patch(
 def make_directional(firm_id="F0", T=900, N_m=9, V_m=90.0, direction="buy") -> PatchRecord:
     V_b, V_s = (V_m, V_m / 9.0) if direction == "buy" else (V_m / 9.0, V_m)
     return PatchRecord(firm_id, "S0", 0, N_m + 1, direction, T, N_m, V_m, V_b, V_s)
+
+
+@pytest.fixture(autouse=True)
+def fresh_bootstrap_memo():
+    """Each test starts without a memoized bootstrap draw, so that a draw an
+    earlier test made cannot hide one that a test counts."""
+    allometry._shared_covariances.cache_clear()
 
 
 @pytest.fixture(scope="session")

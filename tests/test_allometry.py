@@ -182,6 +182,8 @@ def test_bootstrap_cis_match_per_estimator_oracle(monkeypatch, n, chunk_cells):
 
 
 def test_each_fit_resamples_once(monkeypatch):
+    # The two fits of one cloud, B and seed share one draw; another seed or
+    # another cloud draws again.
     calls = []
     resample = allometry._resampled_covariances
 
@@ -192,9 +194,14 @@ def test_each_fit_resamples_once(monkeypatch):
     monkeypatch.setattr(allometry, "_resampled_covariances", counting)
     pts = _noisy_cloud(seed=75, n=500)
     trivariate_fit(pts, B=300, seed=3)
-    assert calls == [((500, 3), 300, 3)]
     bivariate_fit(pts, B=300, seed=3)
-    assert calls == [((500, 3), 300, 3)] * 2
+    assert calls == [((500, 3), 300, 3)]
+    bivariate_fit(pts, B=300, seed=4)
+    trivariate_fit(pts, B=300, seed=4)
+    assert calls == [((500, 3), 300, 3), ((500, 3), 300, 4)]
+    trivariate_fit(pts + 1.0, B=300, seed=4)
+    assert len(calls) == 3
+    assert not allometry._shared_covariances(pts.tobytes(), pts.shape, 300, 4).flags.writeable
 
 
 def test_bootstrap_memory_is_bounded():

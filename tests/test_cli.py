@@ -624,8 +624,67 @@ def test_patches_of_a_stock_analyze_did_not_record_is_data_error(small_run, tmp_
     (out / "report.json").unlink()
     assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert f"{path} holds other stocks than {out / 'analysis' / 'stocks.json'}" in err
+    assert f"{path} has sha256 " in err and f"but {out / 'segmentations.json'} records " in err
+    assert "run segment again" in err
     assert not (out / "report.json").exists()
+
+
+def _small_run_copy(small_run, tmp_path):
+    """A copy of the small run's output directory without its report.json."""
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    (out / "report.json").unlink()
+    return out
+
+
+def _assert_refused(out, argv, named, rerun, capsys):
+    """argv exits 2 naming the file named and saying to rerun, and writes no report."""
+    assert main([*argv, "--output-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{out / named} has sha256 " in err and rerun in err
+    assert not (out / "report.json").exists()
+
+
+def test_report_refuses_an_analysis_of_another_segmentation(small_run, tmp_path, capsys):
+    # segmentations.json and patches.csv agree on theta = 0.9; analysis/ is of 0.75.
+    out = _small_run_copy(small_run, tmp_path)
+    flags = [*SMALL_RUN_FLAGS, "--theta", "0.9"]
+    assert main(["segment", "--output-dir", str(out), *flags]) == EXIT_OK
+    _assert_refused(out, ["report", *flags], "patches.csv", "run analyze again", capsys)
+
+
+def test_analyze_and_report_refuse_a_segmentation_of_another_ingest(small_run, tmp_path, capsys):
+    out = _small_run_copy(small_run, tmp_path)
+    flags = ["--min-trades-per-year", "0", "--min-active-days", "25", "--bootstrap-samples", "400"]
+    assert main(["ingest", "--output-dir", str(out), *flags]) == EXIT_OK
+    assert json.loads((out / "activity.json").read_text())["qualified_firms"] == []
+    summary = (out / "analysis" / "SYN" / "summary.json").read_bytes()
+    for command in ("analyze", "report"):
+        _assert_refused(out, [command, *flags], "activity.json", "run segment again", capsys)
+    assert (out / "analysis" / "SYN" / "summary.json").read_bytes() == summary
+
+
+def test_report_refuses_a_hand_edited_patches_csv(small_run, tmp_path, capsys):
+    out = _small_run_copy(small_run, tmp_path)
+    path = out / "patches.csv"
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    column = rows[0].index("T")
+    rows[1][column] = str(int(rows[1][column]) + 1)
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    _assert_refused(out, ["report", *SMALL_RUN_FLAGS], "patches.csv", "run segment again", capsys)
+
+
+def test_patches_csv_alone_reaches_the_report(small_run, tmp_path):
+    config, report = small_run
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(config.out() / "patches.csv", out / "patches.csv")
+    for command in ("analyze", "report"):
+        assert main([command, "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_OK, command
+    assert json.loads((out / "report.json").read_text())["stocks"] == report["stocks"]
 
 
 # Every flag of the README's Key settings table: (value given, RunConfig field, parsed value).

@@ -100,7 +100,7 @@ def test_stage_settings_cover_every_run_setting(small_run):
 
 
 def test_counts_reconcile(small_run):
-    _, report = small_run
+    config, report = small_run
     counts = report["stocks"]["SYN"]["counts"]
     assert counts["patches_total"] == (
         counts["patches_below_min_trades"]
@@ -111,6 +111,9 @@ def test_counts_reconcile(small_run):
     totals = report["totals"]
     assert totals["patches_total"] == counts["patches_total"]
     assert totals["series"] > 0
+    # analyze counts a stock's series from its patch rows: every segmented series has one.
+    segments = json.loads((config.out() / "segmentations.json").read_text())
+    assert totals["series"] == counts["series"] == len(segments["series"])
 
 
 def test_patches_csv_has_no_negative_zero(small_run):
@@ -119,6 +122,30 @@ def test_patches_csv_has_no_negative_zero(small_run):
         rows = list(csv.reader(fh))
     assert any(row[-1] == "0.0" for row in rows[1:])
     assert not [row for row in rows if "-0.0" in row]
+
+
+def test_every_float_cell_of_every_csv_is_its_repr(small_run):
+    config, _ = small_run
+    paths = sorted(config.out().rglob("*.csv"))
+    assert len(paths) >= 20  # the tape, patches, analysis, plot and report tables
+    floats = 0
+    for path in paths:
+        with open(path, newline="") as handle:
+            for row in csv.reader(handle):
+                for cell in row:
+                    assert "np." not in cell, (path, cell)
+                    try:
+                        int(cell)
+                        continue
+                    except ValueError:
+                        pass
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert repr(value) == cell, (path, cell)
+                    floats += 1
+    assert floats > 1000
 
 
 def test_patch_rows_tile_each_series(small_run):
@@ -313,6 +340,19 @@ def test_analyze_records_the_digest_of_every_file_it_writes(tmp_path):
         assert hashlib.sha256((analysis / name).read_bytes()).hexdigest() == digest
 
 
+def test_each_record_names_the_files_its_stage_read_by_sha256(small_run):
+    config, _ = small_run
+    out = config.out()
+
+    def digest(name):
+        return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    segmentations = json.loads((out / "segmentations.json").read_text())
+    assert segmentations["activity_sha256"] == digest("activity.json")
+    assert segmentations["patches_sha256"] == digest("patches.csv")
+    assert json.loads((out / "analysis" / "stocks.json").read_text())["patches_sha256"] == digest("patches.csv")
+
+
 def test_missing_artifact_points_to_producing_stage(tmp_path):
     config = RunConfig(output_dir=str(tmp_path / "empty"), bootstrap_samples=400)
     with pytest.raises(DataError, match="run the .* stage first"):
@@ -414,8 +454,10 @@ def test_analyze_draws_one_resample_set_per_stock(small_run, monkeypatch):
     # The shared draw is the one each fit makes alone.
     points, _ = allometry.log_points(patches.select_directional(rows, config.min_patch_trades))
     for mode, fit in (("trivariate", allometry.trivariate_fit), ("bivariate", allometry.bivariate_fit)):
+        allometry._shared_covariances.cache_clear()
         alone = fit(points, config.bootstrap_samples, 5)
         assert fits[mode]["ci95s"] == alone.ci95s
+    assert len(calls) == 3
 
 
 def test_parse_k_policy():
