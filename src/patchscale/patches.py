@@ -50,8 +50,9 @@ class PatchRecord:
     T is the time from the first to the last trade; N_m and V_m are the
     dominant side's trade count and value, and are None exactly when the
     direction is non-directional.  A record that cannot be meaningful (a
-    non-finite or negative value, negative T, start >= end, or a V_m other
-    than its own side's value) raises ValueError.
+    non-finite or negative value, negative T, a negative start, start >= end,
+    an N_m outside [1, end - start], or a V_m that is not positive or not its
+    own side's value) raises ValueError.
     """
 
     firm_id: str
@@ -80,13 +81,15 @@ class PatchRecord:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.T < 0:
             raise ValueError(f"T must be >= 0, got {self.T}")
-        if self.start >= self.end:
-            raise ValueError(f"start must be below end, got start={self.start}, end={self.end}")
+        if not 0 <= self.start < self.end:
+            raise ValueError(f"start must be >= 0 and below end, got start={self.start}, end={self.end}")
         if directional:
+            if not 1 <= self.N_m <= self.end - self.start:
+                raise ValueError(f"N_m must be in [1, end - start] = [1, {self.end - self.start}], got {self.N_m!r}")
             own = "V_b" if self.direction == DIRECTION_BUY else "V_s"
-            if self.V_m != getattr(self, own):
+            if not 0.0 < self.V_m == getattr(self, own):
                 raise ValueError(
-                    f"V_m of a {self.direction} row must equal its {own}, got V_m={self.V_m!r}, "
+                    f"V_m of a {self.direction} row must be > 0 and equal its {own}, got V_m={self.V_m!r}, "
                     f"{own}={getattr(self, own)!r}"
                 )
 

@@ -55,9 +55,7 @@ INGESTED_ARRAYS = ("signed_values", "timestamps", "offsets")
 INGESTED_FILES = (*(f"{name}.npy" for name in INGESTED_ARRAYS), "series.json")
 # Every file analyze writes under analysis/<stock dir>/; analysis/stocks.json
 # records the sha256 of each, keyed "<stock dir>/<file>".
-ANALYSIS_FILES = (
-    "tails.json", "allometry.json", "lognormality.json", "lognormality.csv", "per_firm_exponents.csv", "summary.json"
-)
+ANALYSIS_FILES = ("summary.json", "lognormality.csv", "per_firm_exponents.csv")
 
 
 @dataclass(frozen=True, slots=True)
@@ -437,7 +435,6 @@ def run_segment(config: RunConfig, series: SeriesColumns | None = None) -> Path:
             {
                 "firm_id": one.firm_id,
                 "stock_id": one.stock_id,
-                "threshold": config.threshold,
                 "boundaries": list(seg.boundaries),
             }
         )
@@ -547,8 +544,9 @@ def _dispersion(values: list[float]) -> dict:
     }
 
 
-def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: int) -> dict:
-    """All per-stock statistics from that stock's patch rows."""
+def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: int) -> tuple[dict, list, list]:
+    """All per-stock statistics from that stock's patch rows: the summary, and
+    the rows of lognormality.csv and of per_firm_exponents.csv."""
     total = len(rows)
     big_enough = [row for row in rows if row.end - row.start >= config.min_patch_trades]
     below_min = total - len(big_enough)
@@ -594,15 +592,23 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
         "g3": _dispersion([f.g3 for f in firm_fits.values()]),
     }
 
-    return {
+    summary = {
         "counts": counts,
         "tails": tail_fits,
         "allometry": allo,
         "lognormality": {"per_firm": per_firm, "pooled": pooled},
         "per_firm_exponents": exponents,
-        "_jb_rows": jb_rows,
-        "_firm_fits": firm_fits,
     }
+    jb_table = list(map(astuple, sorted(jb_rows, key=attrgetter("firm_id", "variable"))))
+    return summary, jb_table, list(map(astuple, firm_fits.values()))
+
+
+def _by_stock(rows: list[PatchRecord]) -> dict[str, list[PatchRecord]]:
+    """The rows of each stock, in file order, by stock id in sorted order."""
+    by_stock: dict[str, list[PatchRecord]] = {}
+    for row in rows:
+        by_stock.setdefault(row.stock_id, []).append(row)
+    return dict(sorted(by_stock.items()))
 
 
 def run_analyze(config: RunConfig) -> dict[str, dict]:
@@ -610,34 +616,18 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
     # patches.csv alone can be analyzed; the earlier stages' records that are there must agree.
     _read_records(config, "analysis/stocks.json")
     patches_path = config.out() / "patches.csv"
-    rows = read_patch_rows(patches_path)
-    by_stock: dict[str, list[PatchRecord]] = {}
-    for row in rows:
-        by_stock.setdefault(row.stock_id, []).append(row)
+    by_stock = _by_stock(read_patch_rows(patches_path))
     bootstrap_seed = int(np.random.SeedSequence([config.seed, 3]).generate_state(1)[0])
     names = stock_dir_names(list(by_stock))
     analysis: dict[str, dict] = {}
     digests: dict[str, str] = {}
-    for stock_id in sorted(by_stock):
-        result = analyze_stock(by_stock[stock_id], config, bootstrap_seed)
+    for stock_id, stock_rows in by_stock.items():
+        summary, jb_table, firm_table = analyze_stock(stock_rows, config, bootstrap_seed)
         stock_out = config.out() / "analysis" / names[stock_id]
-        stock_out.mkdir(parents=True, exist_ok=True)
-        _write_json(stock_out / "tails.json", result["tails"])
-        _write_json(stock_out / "allometry.json", result["allometry"])
-        _write_json(stock_out / "lognormality.json", result["lognormality"])
-        # csv writes a float as its repr.
-        _write_csv(
-            stock_out / "lognormality.csv",
-            [f.name for f in fields(lognormal.LognormalityResult)],
-            map(astuple, sorted(result["_jb_rows"], key=attrgetter("firm_id", "variable"))),
-        )
-        _write_csv(
-            stock_out / "per_firm_exponents.csv",
-            [f.name for f in fields(allometry.FirmExponents)],
-            map(astuple, result["_firm_fits"].values()),
-        )
-        summary = {key: value for key, value in result.items() if not key.startswith("_")}
         _write_json(stock_out / "summary.json", summary)
+        # csv writes a float as its repr.
+        _write_csv(stock_out / "lognormality.csv", [f.name for f in fields(lognormal.LognormalityResult)], jb_table)
+        _write_csv(stock_out / "per_firm_exponents.csv", [f.name for f in fields(allometry.FirmExponents)], firm_table)
         analysis[stock_id] = summary
         digests.update({f"{names[stock_id]}/{name}": _sha256(stock_out / name) for name in ANALYSIS_FILES})
     _write_record(
@@ -647,16 +637,22 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
     return analysis
 
 
-def _analysis_dirs(config: RunConfig, record: dict) -> dict[str, str]:
-    """The analysis/ directory name of each stock in analyze's record, once
-    every file in it is shown to be the one analyze wrote; DataError otherwise."""
+def _read_analysis(config: RunConfig) -> dict[str, tuple[str, dict]]:
+    """Each stock's analysis/ directory name and summary, by stock id in sorted
+    order, once analyze's record is read and every file it names is shown to
+    be the one analyze wrote; DataError otherwise."""
+    record = _read_record(config, "analysis/stocks.json")
     names = record["stocks"]
+    directory = config.out() / "analysis"
     _check_digests(
-        config.out() / "analysis/stocks.json", record["analysis_sha256"], config.out() / "analysis",
+        directory / "stocks.json", record["analysis_sha256"], directory,
         [f"{names[stock_id]}/{name}" for stock_id in sorted(names) for name in ANALYSIS_FILES],
         "run analyze again",
     )
-    return names
+    return {
+        stock_id: (name, json.loads((directory / name / "summary.json").read_text(encoding="utf-8")))
+        for stock_id, name in sorted(names.items())
+    }
 
 
 def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[float, float]]:
@@ -670,15 +666,16 @@ def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[float, float]]:
 def emit_plot_data(config: RunConfig) -> list[Path]:
     """CCDF, log-log scatter with fitted axis, and exponent histogram CSVs
     for every stock of patches.csv, which must be the file analyze read."""
-    names = _analysis_dirs(config, _read_record(config, "analysis/stocks.json"))
-    by_stock: dict[str, list[PatchRecord]] = {}
-    for row in read_patch_rows(config.out() / "patches.csv"):
-        by_stock.setdefault(row.stock_id, []).append(row)
+    return _write_plot_data(config, _read_analysis(config))
+
+
+def _write_plot_data(config: RunConfig, analysis: dict[str, tuple[str, dict]]) -> list[Path]:
+    """emit_plot_data's files, from the stocks _read_analysis returned."""
     written: list[Path] = []
-    for stock_id in sorted(by_stock):
-        stock_out = config.out() / "plots" / names[stock_id]
-        analysis = config.out() / "analysis" / names[stock_id]
-        directional = patches.select_directional(by_stock[stock_id], config.min_patch_trades)
+    for stock_id, rows in _by_stock(read_patch_rows(config.out() / "patches.csv")).items():
+        stock_dir, summary = analysis[stock_id]
+        stock_out = config.out() / "plots" / stock_dir
+        directional = patches.select_directional(rows, config.min_patch_trades)
         values = patches.variables(directional)
         for variable in VARIABLES:
             positive = values[variable][values[variable] > 0]
@@ -688,7 +685,7 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             written.append(path)
 
         # Each analysis file is the one analyze wrote: no field needs a check.
-        slopes = json.loads((analysis / "allometry.json").read_text(encoding="utf-8"))["bivariate"]
+        slopes = summary["allometry"]["bivariate"]
         pts, _ = allometry.log_points(directional)
         for name, columns in allometry.PAIRS.items():
             pair_pts = pts[:, columns]
@@ -705,7 +702,8 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
             _write_csv(axis_path, ("log_x", "log_y"), axis_rows)
             written.append(axis_path)
 
-        with open(analysis / "per_firm_exponents.csv", encoding="utf-8", newline="") as handle:
+        firm_csv = config.out() / "analysis" / stock_dir / "per_firm_exponents.csv"
+        with open(firm_csv, encoding="utf-8", newline="") as handle:
             firm_fits = list(csv.DictReader(handle))
         for name in ("g1", "g2", "g3"):
             vals = [float(fit[name]) for fit in firm_fits]
@@ -800,12 +798,9 @@ def _report_tables(config: RunConfig, report: dict) -> None:
 def run_report(config: RunConfig) -> dict:
     """Compose report.json, its CSV tables, and the plot-data files."""
     out = config.out()
-    records = _read_records(config, required=("analysis/stocks.json",))
-    names = _analysis_dirs(config, records["analysis/stocks.json"])
-    stocks = {
-        stock_id: json.loads((out / "analysis" / names[stock_id] / "summary.json").read_text(encoding="utf-8"))
-        for stock_id in sorted(names)
-    }
+    _read_records(config, "analysis/stocks.json")
+    analysis = _read_analysis(config)
+    stocks = {stock_id: summary for stock_id, (_, summary) in analysis.items()}
 
     config_echo = {name: getattr(config, name) for names in STAGE_SETTINGS.values() for name in names}
     config_echo["source"] = "synth" if config.synth is not None else ("tape" if config.tape else "artifacts")
@@ -822,8 +817,8 @@ def run_report(config: RunConfig) -> dict:
             "patches_total": sum(s["counts"]["patches_total"] for s in stocks.values()),
         },
     }
-    # The plots come first: they check patches.csv, so a refused report writes nothing.
-    emit_plot_data(config)
+    # The plots come first: they read patches.csv, so a report refused for its absence writes nothing.
+    _write_plot_data(config, analysis)
     _write_json(out / "report.json", report)
     _report_tables(config, report)
     return report

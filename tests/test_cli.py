@@ -391,6 +391,10 @@ def test_inconsistent_patch_row_is_data_error(small_run, tmp_path, capsys, direc
         ("sell", {"start": "end"}),
         ("buy", {"V_m": "V_s"}),
         ("sell", {"V_m": "V_b"}),
+        ("buy", {"N_m": "0"}),
+        ("sell", {"V_m": "0.0", "V_s": "0.0"}),
+        ("buy", {"N_m": "100000"}),
+        ("buy", {"start": "-1"}),
     ],
 )
 def test_meaningless_patch_row_is_data_error(small_run, tmp_path, capsys, direction, changes):
@@ -588,9 +592,9 @@ def _drop_digests(data):
     "artifact,damage,fault",
     [
         ("analysis/SYN/summary.json", _json_edit(lambda data: {}), "has sha256"),
-        ("analysis/SYN/allometry.json", _json_edit(lambda data: []), "has sha256"),
+        ("analysis/SYN/summary.json", _json_edit(_set_in(("allometry",), [])), "has sha256"),
         ("analysis/SYN/summary.json", _json_edit(_set_in(("tails", "T", "zeta"), "abc")), "has sha256"),
-        ("analysis/SYN/allometry.json", _json_edit(_set_in(("bivariate", "g1"), "1e309")), "has sha256"),
+        ("analysis/SYN/summary.json", _json_edit(_set_in(("allometry", "bivariate", "g1"), "1e309")), "has sha256"),
         ("analysis/SYN/lognormality.csv", _unlink, "cannot read it"),
         ("analysis/stocks.json", _json_edit(_set_in(("stocks", "SYN"), "../../x")), "stocks is missing or malformed"),
         # A record written before analyze recorded its files' digests.
@@ -717,6 +721,12 @@ def test_readme_key_settings_parse_with_all():
     config = _parse(argv)
     for flag, (_, field, expected) in KEY_SETTINGS.items():
         assert getattr(config, field) == expected, flag
+
+
+def test_readme_lists_every_analysis_file():
+    artifacts = _readme().split("### Output artifacts", 1)[1].split("\n## ", 1)[0]
+    listing = artifacts.split("`analysis/` (per stock", 1)[1].split("`analysis/stocks.json`", 1)[0]
+    assert sorted(re.findall(r"`([\w.]+\.(?:json|csv))`", listing)) == sorted(pipeline.ANALYSIS_FILES)
 
 
 def test_readme_names_every_flag():

@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
-from dataclasses import fields
+import shutil
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +39,6 @@ EXPECTED_FILES = [
     "segmentations.json",
     "patches.csv",
     "analysis/stocks.json",
-    "analysis/SYN/tails.json",
-    "analysis/SYN/allometry.json",
-    "analysis/SYN/lognormality.json",
     "analysis/SYN/lognormality.csv",
     "analysis/SYN/per_firm_exponents.csv",
     "analysis/SYN/summary.json",
@@ -353,6 +352,25 @@ def test_each_record_names_the_files_its_stage_read_by_sha256(small_run):
     assert json.loads((out / "analysis" / "stocks.json").read_text())["patches_sha256"] == digest("patches.csv")
 
 
+def test_report_hashes_each_file_once_per_record_naming_it(small_run, tmp_path, monkeypatch):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    hashed = Counter()
+    sha256 = pipeline._sha256
+
+    def counted(path):
+        hashed[path.relative_to(out).as_posix()] += 1
+        return sha256(path)
+
+    monkeypatch.setattr(pipeline, "_sha256", counted)
+    pipeline.run_report(replace(config, output_dir=str(out)))
+    analysis = {name: count for name, count in hashed.items() if name.startswith("analysis/")}
+    assert analysis == {f"analysis/SYN/{name}": 1 for name in pipeline.ANALYSIS_FILES}
+    # segmentations.json and analysis/stocks.json each name patches.csv.
+    assert hashed["patches.csv"] <= 2
+
+
 def test_missing_artifact_points_to_producing_stage(tmp_path):
     config = RunConfig(output_dir=str(tmp_path / "empty"), bootstrap_samples=400)
     with pytest.raises(DataError, match="run the .* stage first"):
@@ -449,7 +467,7 @@ def test_analyze_draws_one_resample_set_per_stock(small_run, monkeypatch):
     resample = allometry._resampled_covariances
     monkeypatch.setattr(allometry, "_resampled_covariances", lambda *args: calls.append(1) or resample(*args))
     rows = read_patch_rows(config.out() / "patches.csv")
-    fits = analyze_stock(rows, config, bootstrap_seed=5)["allometry"]
+    fits = analyze_stock(rows, config, bootstrap_seed=5)[0]["allometry"]
     assert len(calls) == 1
     # The shared draw is the one each fit makes alone.
     points, _ = allometry.log_points(patches.select_directional(rows, config.min_patch_trades))
