@@ -24,6 +24,7 @@ import csv
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -51,10 +52,9 @@ STAGE_SETTINGS = {
 }
 # The SeriesColumns arrays ingest saves under ingested/, beside series.json.
 INGESTED_ARRAYS = ("signed_values", "timestamps", "offsets")
-# Every file under ingested/; activity.json records the sha256 of each.
+# Every file under ingested/.
 INGESTED_FILES = (*(f"{name}.npy" for name in INGESTED_ARRAYS), "series.json")
-# Every file analyze writes under analysis/<stock dir>/; analysis/stocks.json
-# records the sha256 of each, keyed "<stock dir>/<file>".
+# Every file analyze writes under analysis/<stock dir>/.
 ANALYSIS_FILES = ("summary.json", "lognormality.csv", "per_firm_exponents.csv")
 
 
@@ -229,61 +229,56 @@ def _str_values(value) -> bool:
     return isinstance(value, dict) and all(map(_is_str, value.values()))
 
 
-# Per recorded artifact, the stage that writes it, the keys later stages
-# index, each with a test of its value, and, for each file of the output
-# directory that the stage read or wrote, the key holding its sha256.
+# Per recorded artifact, the stage that writes it and the keys later stages
+# index, each with a test of its value.  Every record also holds files: the
+# sha256 of each file its stage read or wrote, keyed by the file's path in the
+# output directory, or "tape" for the tape.
 _RECORD_KEYS = {
     "activity.json": ("ingest", {
         "n_trades": lambda v: isinstance(v, int),
         "span": lambda v: v is None or isinstance(v, list),
-        "tape_sha256": _is_str,
-        "ingested_sha256": _str_values,
         "qualified_firms": lambda v: isinstance(v, list) and all(map(_is_str, v)),
-    }, {}),
-    "segmentations.json": ("segment", {}, {"activity.json": "activity_sha256", "patches.csv": "patches_sha256"}),
+    }),
+    "segmentations.json": ("segment", {}),
     "analysis/stocks.json": ("analyze", {
         # Each stock's directory is the one analyze names it, inside analysis/.
         "stocks": lambda v: _str_values(v) and v == stock_dir_names(list(v)),
-        "analysis_sha256": _str_values,
-    }, {"patches.csv": "patches_sha256"}),
+    }),
 }
 
 
-def _read_record(config: RunConfig, artifact: str) -> dict:
-    """A stage's record; DataError unless it is an object holding the keys
-    later stages index, config agrees with every setting it holds, and each
-    file it names that is in the output directory has the recorded sha256."""
-    path = config.out() / artifact
-    recorded = _read_json(path)
-    stage, keys, links = _RECORD_KEYS[artifact]
-    if not isinstance(recorded, dict):
-        raise DataError(f"{path}: expected a JSON object; run {stage} again")
-    for key, valid in {**keys, **dict.fromkeys(links.values(), _is_str)}.items():
-        if key not in recorded or not valid(recorded[key]):
-            raise DataError(f"{path}: {key} is missing or malformed; run {stage} again")
-    for name in STAGE_SETTINGS[artifact]:
-        if name in recorded and recorded[name] != getattr(config, name):
-            raise DataError(
-                f"{path} was written with {name} = {recorded[name]!r}, but this run has "
-                f"{name} = {getattr(config, name)!r}; give every stage the same settings"
-            )
-    _check_digests(
-        path, {name: recorded[key] for name, key in links.items()}, config.out(),
-        [name for name in links if (config.out() / name).is_file()], f"run {stage} again",
-    )
-    return recorded
-
-
-def _read_records(config: RunConfig, before: str | None = None, required: tuple[str, ...] = ()) -> dict:
+def _read_records(config: RunConfig, before: str | None = None, required: tuple = (), reads: tuple = ()) -> dict:
     """Read and check, by artifact, the records of the stages that run before
     the one writing before (of every stage when None): those that exist and
-    the required ones."""
+    the required ones.  DataError unless each is an object holding the keys
+    later stages index, config agrees with every setting it holds, and each
+    record read and each file of reads that exists has the sha256 that every
+    record read naming it holds."""
+    out = config.out()
     records = {}
     for artifact in STAGE_SETTINGS:
+        path = out / artifact
         if artifact == before:
             break
-        if artifact in required or (config.out() / artifact).is_file():
-            records[artifact] = _read_record(config, artifact)
+        if artifact not in required and not path.is_file():
+            continue
+        recorded = _read_json(path)
+        stage, keys = _RECORD_KEYS[artifact]
+        if not isinstance(recorded, dict):
+            raise DataError(f"{path}: expected a JSON object; run {stage} again")
+        for key, valid in {**keys, "files": _str_values}.items():
+            if key not in recorded or not valid(recorded[key]):
+                raise DataError(f"{path}: {key} is missing or malformed; run {stage} again")
+        for name in STAGE_SETTINGS[artifact]:
+            if name in recorded and recorded[name] != getattr(config, name):
+                raise DataError(
+                    f"{path} was written with {name} = {recorded[name]!r}, but this run has "
+                    f"{name} = {getattr(config, name)!r}; give every stage the same settings"
+                )
+        records[artifact] = recorded
+    for name in (*records, *(name for name in reads if (out / name).is_file())):
+        if naming := {artifact: record for artifact, record in records.items() if name in record["files"]}:
+            _check_files(config, naming, [name])
     return records
 
 
@@ -299,18 +294,25 @@ def _sha256(path: Path) -> str:
         return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
-def _check_digests(record: Path, digests: dict, directory: Path, names, rerun: str) -> None:
-    """DataError, saying to rerun, unless each named file under directory has
-    the sha256 that digests, from the record at path record, holds for it."""
+def _check_files(config: RunConfig, records: dict, names) -> None:
+    """DataError, saying to run that record's stage again, unless each named
+    file of the output directory has the sha256 that each of records, by
+    artifact in stage order, holds for it under files."""
     for name in names:
-        # A record of an older layout holds none of these names.
-        path, expected = directory / name, digests.get(name)
+        path = config.out() / name
         try:
             digest = _sha256(path)
         except OSError as exc:
-            raise DataError(f"{path}: cannot read it ({exc}); {rerun}") from None
-        if digest != expected:
-            raise DataError(f"{path} has sha256 {digest}, but {record} records {expected}; {rerun}")
+            stage = _RECORD_KEYS[next(iter(records))][0]  # records come in stage order
+            raise DataError(f"{path}: cannot read it ({exc}); run {stage} again") from None
+        for artifact, record in records.items():
+            # A record of an older layout does not name the file.
+            expected = record["files"].get(name)
+            if digest != expected:
+                raise DataError(
+                    f"{path} has sha256 {digest}, but {config.out() / artifact} records {expected}; "
+                    f"run {_RECORD_KEYS[artifact][0]} again"
+                )
 
 
 def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
@@ -329,7 +331,7 @@ def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
 
 
 def _write_ingested(config: RunConfig, series: SeriesColumns) -> dict[str, str]:
-    """Save the series under ingested/ and return each file's sha256."""
+    """Save the series under ingested/ and return each file's sha256, by path."""
     out = config.out() / "ingested"
     out.mkdir(parents=True, exist_ok=True)
     for name in INGESTED_ARRAYS:
@@ -337,7 +339,7 @@ def _write_ingested(config: RunConfig, series: SeriesColumns) -> dict[str, str]:
         np.save(out / f"{name}.npy", getattr(series, name))
     pairs = json.dumps([list(pair) for pair in series.pairs], separators=(",", ":"))
     (out / "series.json").write_text(pairs + "\n", encoding="utf-8")
-    return {name: _sha256(out / name) for name in INGESTED_FILES}
+    return {f"ingested/{name}": _sha256(out / name) for name in INGESTED_FILES}
 
 
 def _load_ingested(config: RunConfig, activity: dict) -> SeriesColumns:
@@ -348,18 +350,15 @@ def _load_ingested(config: RunConfig, activity: dict) -> SeriesColumns:
     altered file.
     """
     tape = _tape_path(config)
-    digest = _sha256(tape)
-    if digest != activity["tape_sha256"]:
+    digest, recorded = _sha256(tape), activity["files"].get("tape")
+    if digest != recorded:
         raise DataError(
             f"{tape} has sha256 {digest}, but {config.out() / 'activity.json'} was written for "
             f"{activity['n_trades']} trades spanning {activity['span']} of a tape with sha256 "
-            f"{activity['tape_sha256']}; run ingest on this tape first"
+            f"{recorded}; run ingest on this tape first"
         )
+    _check_files(config, {"activity.json": activity}, [f"ingested/{name}" for name in INGESTED_FILES])
     directory = config.out() / "ingested"
-    _check_digests(
-        config.out() / "activity.json", activity["ingested_sha256"], directory, INGESTED_FILES,
-        "run ingest on this tape again",
-    )
     # Each file is the one ingest wrote from a validated table.
     arrays = {name: np.load(directory / f"{name}.npy", allow_pickle=False) for name in INGESTED_ARRAYS}
     pairs = [tuple(pair) for pair in json.loads((directory / "series.json").read_text(encoding="utf-8"))]
@@ -390,8 +389,7 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Seri
     payload = {
         "n_trades": len(table),
         "span": span,
-        "tape_sha256": _sha256(tape),
-        "ingested_sha256": _write_ingested(config, series),
+        "files": {"tape": _sha256(tape), **_write_ingested(config, series)},
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
         "qualified_firms": sorted(qualified),
@@ -445,8 +443,8 @@ def run_segment(config: RunConfig, series: SeriesColumns | None = None) -> Path:
     path = config.out() / "patches.csv"
     # csv writes None as an empty field and a float as its repr.
     _write_csv(path, PATCH_CSV_HEADER, map(_patch_csv_row, records))
-    digests = {"activity_sha256": _sha256(config.out() / "activity.json"), "patches_sha256": _sha256(path)}
-    _write_record(config, "segmentations.json", {"counts": counts, "series": exports, **digests})
+    files = {name: _sha256(config.out() / name) for name in ("activity.json", "patches.csv")}
+    _write_record(config, "segmentations.json", {"counts": counts, "series": exports, "files": files})
     return path
 
 
@@ -614,13 +612,16 @@ def _by_stock(rows: list[PatchRecord]) -> dict[str, list[PatchRecord]]:
 def run_analyze(config: RunConfig) -> dict[str, dict]:
     """Per-stock scaling statistics written under analysis/<stock>/."""
     # patches.csv alone can be analyzed; the earlier stages' records that are there must agree.
-    _read_records(config, "analysis/stocks.json")
+    _read_records(config, "analysis/stocks.json", reads=("patches.csv",))
     patches_path = config.out() / "patches.csv"
     by_stock = _by_stock(read_patch_rows(patches_path))
+    # Every input is checked: a stock of an earlier run must not outlive it.
+    if (config.out() / "analysis").exists():
+        shutil.rmtree(config.out() / "analysis")
     bootstrap_seed = int(np.random.SeedSequence([config.seed, 3]).generate_state(1)[0])
     names = stock_dir_names(list(by_stock))
     analysis: dict[str, dict] = {}
-    digests: dict[str, str] = {}
+    files = {"patches.csv": _sha256(patches_path)}
     for stock_id, stock_rows in by_stock.items():
         summary, jb_table, firm_table = analyze_stock(stock_rows, config, bootstrap_seed)
         stock_out = config.out() / "analysis" / names[stock_id]
@@ -629,28 +630,22 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
         _write_csv(stock_out / "lognormality.csv", [f.name for f in fields(lognormal.LognormalityResult)], jb_table)
         _write_csv(stock_out / "per_firm_exponents.csv", [f.name for f in fields(allometry.FirmExponents)], firm_table)
         analysis[stock_id] = summary
-        digests.update({f"{names[stock_id]}/{name}": _sha256(stock_out / name) for name in ANALYSIS_FILES})
-    _write_record(
-        config, "analysis/stocks.json",
-        {"stocks": names, "analysis_sha256": digests, "patches_sha256": _sha256(patches_path)},
-    )
+        files.update({f"analysis/{names[stock_id]}/{name}": _sha256(stock_out / name) for name in ANALYSIS_FILES})
+    _write_record(config, "analysis/stocks.json", {"stocks": names, "files": files})
     return analysis
 
 
 def _read_analysis(config: RunConfig) -> dict[str, tuple[str, dict]]:
     """Each stock's analysis/ directory name and summary, by stock id in sorted
-    order, once analyze's record is read and every file it names is shown to
-    be the one analyze wrote; DataError otherwise."""
-    record = _read_record(config, "analysis/stocks.json")
+    order, once every record is read, patches.csv is shown to be the file
+    analyze read, and every analysis file the one it wrote; DataError
+    otherwise."""
+    record = _read_records(config, required=("analysis/stocks.json",), reads=("patches.csv",))["analysis/stocks.json"]
     names = record["stocks"]
-    directory = config.out() / "analysis"
-    _check_digests(
-        directory / "stocks.json", record["analysis_sha256"], directory,
-        [f"{names[stock_id]}/{name}" for stock_id in sorted(names) for name in ANALYSIS_FILES],
-        "run analyze again",
-    )
+    files = [f"analysis/{names[stock_id]}/{name}" for stock_id in sorted(names) for name in ANALYSIS_FILES]
+    _check_files(config, {"analysis/stocks.json": record}, files)
     return {
-        stock_id: (name, json.loads((directory / name / "summary.json").read_text(encoding="utf-8")))
+        stock_id: (name, json.loads((config.out() / "analysis" / name / "summary.json").read_text(encoding="utf-8")))
         for stock_id, name in sorted(names.items())
     }
 
@@ -672,7 +667,11 @@ def emit_plot_data(config: RunConfig) -> list[Path]:
 def _write_plot_data(config: RunConfig, analysis: dict[str, tuple[str, dict]]) -> list[Path]:
     """emit_plot_data's files, from the stocks _read_analysis returned."""
     written: list[Path] = []
-    for stock_id, rows in _by_stock(read_patch_rows(config.out() / "patches.csv")).items():
+    by_stock = _by_stock(read_patch_rows(config.out() / "patches.csv"))
+    # Every input is checked: a stock of an earlier run must not outlive it.
+    if (config.out() / "plots").exists():
+        shutil.rmtree(config.out() / "plots")
+    for stock_id, rows in by_stock.items():
         stock_dir, summary = analysis[stock_id]
         stock_out = config.out() / "plots" / stock_dir
         directional = patches.select_directional(rows, config.min_patch_trades)
@@ -798,7 +797,6 @@ def _report_tables(config: RunConfig, report: dict) -> None:
 def run_report(config: RunConfig) -> dict:
     """Compose report.json, its CSV tables, and the plot-data files."""
     out = config.out()
-    _read_records(config, "analysis/stocks.json")
     analysis = _read_analysis(config)
     stocks = {stock_id: summary for stock_id, (_, summary) in analysis.items()}
 

@@ -517,7 +517,7 @@ def test_ingested_columns_of_an_older_layout_are_data_error(small_run, tmp_path,
     path = out / "activity.json"
     activity = json.loads(path.read_text())
     old = ("timestamps.npy", "firm_codes.npy", "stock_codes.npy", "signs.npy", "values.npy", "ids.json")
-    activity["ingested_sha256"] = dict.fromkeys(old, "0" * 64)
+    activity["files"] = {"tape": activity["files"]["tape"], **{f"ingested/{name}": "0" * 64 for name in old}}
     path.write_text(json.dumps(activity))
     assert main(["segment", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
     err = capsys.readouterr().err
@@ -584,7 +584,7 @@ def _set_in(keys, value):
 
 
 def _drop_digests(data):
-    del data["analysis_sha256"]
+    del data["files"]
     return data
 
 
@@ -598,7 +598,7 @@ def _drop_digests(data):
         ("analysis/SYN/lognormality.csv", _unlink, "cannot read it"),
         ("analysis/stocks.json", _json_edit(_set_in(("stocks", "SYN"), "../../x")), "stocks is missing or malformed"),
         # A record written before analyze recorded its files' digests.
-        ("analysis/stocks.json", _json_edit(_drop_digests), "analysis_sha256 is missing or malformed"),
+        ("analysis/stocks.json", _json_edit(_drop_digests), "files is missing or malformed"),
     ],
     ids=["empty summary", "allometry list", "text zeta", "overflowing g1", "missing csv", "dir outside", "no digests"],
 )
@@ -681,6 +681,23 @@ def test_report_refuses_a_hand_edited_patches_csv(small_run, tmp_path, capsys):
     _assert_refused(out, ["report", *SMALL_RUN_FLAGS], "patches.csv", "run segment again", capsys)
 
 
+def test_a_rerun_leaves_no_stock_of_the_run_before(small_run, tmp_path, capsys):
+    out = _small_run_copy(small_run, tmp_path)
+    # A stage refused for an edited patches.csv deletes nothing.
+    patches_csv = out / "patches.csv"
+    lines = patches_csv.read_text().splitlines(keepends=True)
+    patches_csv.write_text("".join([*lines, lines[-1]]))
+    for command in ("analyze", "report"):
+        assert main([command, "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA, command
+    assert (out / "analysis" / "SYN").is_dir() and (out / "plots" / "SYN").is_dir()
+    tape = tmp_path / "renamed.csv"
+    tape.write_text((out / "tape.csv").read_text().replace(",SYN,", ",ABC,"))
+    assert main(["all", "--tape", str(tape), "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_OK
+    assert sorted(path.name for path in (out / "analysis").iterdir()) == ["ABC", "stocks.json"]
+    assert sorted(path.name for path in (out / "plots").iterdir()) == ["ABC"]
+    assert list(json.loads((out / "report.json").read_text())["stocks"]) == ["ABC"]
+
+
 def test_patches_csv_alone_reaches_the_report(small_run, tmp_path):
     config, report = small_run
     out = tmp_path / "out"
@@ -727,6 +744,13 @@ def test_readme_lists_every_analysis_file():
     artifacts = _readme().split("### Output artifacts", 1)[1].split("\n## ", 1)[0]
     listing = artifacts.split("`analysis/` (per stock", 1)[1].split("`analysis/stocks.json`", 1)[0]
     assert sorted(re.findall(r"`([\w.]+\.(?:json|csv))`", listing)) == sorted(pipeline.ANALYSIS_FILES)
+
+
+def test_readme_names_one_files_map_and_no_retired_digest_key():
+    readme = _readme()
+    assert "`files`" in readme
+    retired = ("tape_sha256", "ingested_sha256", "activity_sha256", "patches_sha256", "analysis_sha256")
+    assert [key for key in retired if key in readme] == []
 
 
 def test_readme_names_every_flag():

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 from collections import Counter
 from dataclasses import fields, replace
@@ -329,14 +330,15 @@ def test_analyze_records_the_digest_of_every_file_it_writes(tmp_path):
         output_dir=str(tmp_path / "out"), tape=str(tape), min_trades_per_year=0, min_active_days=0, bootstrap_samples=400
     )
     run_pipeline(config)
-    analysis = config.out() / "analysis"
-    record = json.loads((analysis / "stocks.json").read_text())
+    out = config.out()
+    record = json.loads((out / "analysis" / "stocks.json").read_text())
     assert record["stocks"] == {"A/B": "A_B", "SAN": "SAN"}
-    written = {path.relative_to(analysis).as_posix() for path in analysis.rglob("*") if path.is_file()}
-    expected = {f"{name}/{file}" for name in record["stocks"].values() for file in pipeline.ANALYSIS_FILES}
-    assert written - {"stocks.json"} == expected == set(record["analysis_sha256"])
-    for name, digest in record["analysis_sha256"].items():
-        assert hashlib.sha256((analysis / name).read_bytes()).hexdigest() == digest
+    written = {path.relative_to(out).as_posix() for path in (out / "analysis").rglob("*") if path.is_file()}
+    expected = {f"analysis/{name}/{file}" for name in record["stocks"].values()
+                for file in pipeline.ANALYSIS_FILES}
+    assert written - {"analysis/stocks.json"} == expected == set(record["files"]) - {"patches.csv"}
+    for name, digest in record["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_each_record_names_the_files_its_stage_read_by_sha256(small_run):
@@ -347,28 +349,67 @@ def test_each_record_names_the_files_its_stage_read_by_sha256(small_run):
         return hashlib.sha256((out / name).read_bytes()).hexdigest()
 
     segmentations = json.loads((out / "segmentations.json").read_text())
-    assert segmentations["activity_sha256"] == digest("activity.json")
-    assert segmentations["patches_sha256"] == digest("patches.csv")
-    assert json.loads((out / "analysis" / "stocks.json").read_text())["patches_sha256"] == digest("patches.csv")
+    assert segmentations["files"]["activity.json"] == digest("activity.json")
+    assert segmentations["files"]["patches.csv"] == digest("patches.csv")
+    assert json.loads((out / "analysis" / "stocks.json").read_text())["files"]["patches.csv"] == digest("patches.csv")
 
 
-def test_report_hashes_each_file_once_per_record_naming_it(small_run, tmp_path, monkeypatch):
-    config, _ = small_run
-    out = tmp_path / "out"
-    shutil.copytree(config.out(), out)
+def _count_hashes(monkeypatch, out):
+    """The paths, relative to out, that pipeline._sha256 hashes from now on, with how often."""
     hashed = Counter()
     sha256 = pipeline._sha256
 
     def counted(path):
-        hashed[path.relative_to(out).as_posix()] += 1
+        hashed[Path(os.path.relpath(path, out)).as_posix()] += 1
         return sha256(path)
 
     monkeypatch.setattr(pipeline, "_sha256", counted)
-    pipeline.run_report(replace(config, output_dir=str(out)))
-    analysis = {name: count for name, count in hashed.items() if name.startswith("analysis/")}
-    assert analysis == {f"analysis/SYN/{name}": 1 for name in pipeline.ANALYSIS_FILES}
-    # segmentations.json and analysis/stocks.json each name patches.csv.
-    assert hashed["patches.csv"] <= 2
+    return hashed
+
+
+_INGESTED = {f"ingested/{name}": 1 for name in pipeline.INGESTED_FILES}
+_ANALYSIS = {f"analysis/SYN/{name}": 1 for name in pipeline.ANALYSIS_FILES}
+# A stage hashes each file it writes into its record, each file it loads, and
+# each record or file of reads that a record it reads names: segmentations.json
+# names activity.json and patches.csv, and analysis/stocks.json patches.csv.
+_REPORT_HASHES = {"activity.json": 1, "patches.csv": 1, **_ANALYSIS}
+
+
+@pytest.mark.parametrize(
+    "stage,expected",
+    [
+        ("ingest", {"tape.csv": 1, **_INGESTED}),
+        ("segment", {"tape.csv": 1, **_INGESTED, "activity.json": 1, "patches.csv": 1}),
+        # analyze hashes patches.csv to check it and again to record it.
+        ("analyze", {"activity.json": 1, "patches.csv": 2, **_ANALYSIS}),
+        ("report", _REPORT_HASHES),
+        # segment takes ingest's series in memory, so the tape and ingested/ are hashed once.
+        ("pipeline", {"tape.csv": 1, **_INGESTED, "activity.json": 3, "patches.csv": 4,
+                      **{name: 2 for name in _ANALYSIS}}),
+    ],
+    ids=["ingest", "segment", "analyze", "report", "all"],
+)
+def test_sha256_calls_of_each_process(small_run, tmp_path, monkeypatch, stage, expected):
+    config, _ = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    hashed = _count_hashes(monkeypatch, out)
+    getattr(pipeline, f"run_{stage}")(replace(config, output_dir=str(out)))
+    assert hashed == expected
+
+
+def test_a_record_cannot_choose_a_file_to_hash(small_run, tmp_path, monkeypatch):
+    config, report = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    (tmp_path / "outside.csv").write_text("timestamp\n")
+    path = out / "segmentations.json"
+    record = json.loads(path.read_text())
+    record["files"]["../outside.csv"] = "0" * 64
+    path.write_text(json.dumps(record))
+    hashed = _count_hashes(monkeypatch, out)
+    assert pipeline.run_report(replace(config, output_dir=str(out))) == report
+    assert hashed == _REPORT_HASHES
 
 
 def test_missing_artifact_points_to_producing_stage(tmp_path):
