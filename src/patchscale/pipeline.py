@@ -247,15 +247,18 @@ _RECORD_KEYS = {
 }
 
 
-def _read_records(config: RunConfig, before: str | None = None, required: tuple = (), reads: tuple = ()) -> dict:
+def _read_records(
+    config: RunConfig, before: str | None = None, required: tuple = (), reads: tuple = ()
+) -> tuple[dict, dict[str, str]]:
     """Read and check, by artifact, the records of the stages that run before
     the one writing before (of every stage when None): those that exist and
     the required ones.  DataError unless each is an object holding the keys
     later stages index, config agrees with every setting it holds, and each
     record read and each file of reads that exists has the sha256 that every
-    record read naming it holds."""
+    record read naming it holds.  Returns the records and, by path, the sha256
+    of each file so checked."""
     out = config.out()
-    records = {}
+    records, digests = {}, {}
     for artifact in STAGE_SETTINGS:
         path = out / artifact
         if artifact == before:
@@ -278,8 +281,8 @@ def _read_records(config: RunConfig, before: str | None = None, required: tuple 
         records[artifact] = recorded
     for name in (*records, *(name for name in reads if (out / name).is_file())):
         if naming := {artifact: record for artifact, record in records.items() if name in record["files"]}:
-            _check_files(config, naming, [name])
-    return records
+            digests.update(_check_files(config, naming, [name]))
+    return records, digests
 
 
 def _tape_path(config: RunConfig) -> Path:
@@ -294,10 +297,11 @@ def _sha256(path: Path) -> str:
         return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
-def _check_files(config: RunConfig, records: dict, names) -> None:
-    """DataError, saying to run that record's stage again, unless each named
-    file of the output directory has the sha256 that each of records, by
-    artifact in stage order, holds for it under files."""
+def _check_files(config: RunConfig, records: dict, names) -> dict[str, str]:
+    """The sha256 of each named file of the output directory, by name;
+    DataError, saying to run that record's stage again, unless it is the one
+    that each of records, by artifact in stage order, holds for it under files."""
+    digests = {}
     for name in names:
         path = config.out() / name
         try:
@@ -313,6 +317,8 @@ def _check_files(config: RunConfig, records: dict, names) -> None:
                     f"{path} has sha256 {digest}, but {config.out() / artifact} records {expected}; "
                     f"run {_RECORD_KEYS[artifact][0]} again"
                 )
+        digests[name] = digest
+    return digests
 
 
 def run_synth(config: RunConfig) -> tuple[TradeTable, GroundTruth]:
@@ -393,15 +399,8 @@ def run_ingest(config: RunConfig, table: TradeTable | None = None) -> tuple[Seri
         "n_firms": len(table.firms),
         "n_stocks": len(table.stocks),
         "qualified_firms": sorted(qualified),
-        "firms": {
-            firm_id: {
-                "trades_per_year": {str(y): c for y, c in sorted(a.trades_per_year.items())},
-                "active_days_per_year": {
-                    str(y): c for y, c in sorted(a.active_days_per_year.items())
-                },
-            }
-            for firm_id, a in sorted(activity.items())
-        },
+        # json writes the int years as strings, in the order sort_keys gives.
+        "firms": activity,
     }
     _write_record(config, "activity.json", payload)
     return series, qualified
@@ -416,7 +415,7 @@ def run_segment(config: RunConfig, series: SeriesColumns | None = None) -> Path:
     CSV holds every cut segment; non-directional rows leave N_m and V_m
     empty because no side dominates.
     """
-    activity = _read_records(config, "segmentations.json", required=("activity.json",))["activity.json"]
+    activity = _read_records(config, "segmentations.json", required=("activity.json",))[0]["activity.json"]
     if series is None:
         series = _load_ingested(config, activity)
     policy = segmentation.SignificancePolicy(
@@ -579,10 +578,7 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
 
     per_firm, pooled, jb_rows = _lognormality_sections(directional, config)
 
-    try:
-        firm_fits = allometry.per_firm_exponents(directional, config.min_firm_patches)
-    except ValueError:
-        firm_fits = {}
+    firm_fits = allometry.per_firm_exponents(directional, config.min_firm_patches)
     exponents = {
         "n_firms": len(firm_fits),
         "g1": _dispersion([f.g1 for f in firm_fits.values()]),
@@ -612,7 +608,7 @@ def _by_stock(rows: list[PatchRecord]) -> dict[str, list[PatchRecord]]:
 def run_analyze(config: RunConfig) -> dict[str, dict]:
     """Per-stock scaling statistics written under analysis/<stock>/."""
     # patches.csv alone can be analyzed; the earlier stages' records that are there must agree.
-    _read_records(config, "analysis/stocks.json", reads=("patches.csv",))
+    _, checked = _read_records(config, "analysis/stocks.json", reads=("patches.csv",))
     patches_path = config.out() / "patches.csv"
     by_stock = _by_stock(read_patch_rows(patches_path))
     # Every input is checked: a stock of an earlier run must not outlive it.
@@ -621,7 +617,8 @@ def run_analyze(config: RunConfig) -> dict[str, dict]:
     bootstrap_seed = int(np.random.SeedSequence([config.seed, 3]).generate_state(1)[0])
     names = stock_dir_names(list(by_stock))
     analysis: dict[str, dict] = {}
-    files = {"patches.csv": _sha256(patches_path)}
+    # A patches.csv no record names was not hashed by the check.
+    files = {"patches.csv": checked.get("patches.csv") or _sha256(patches_path)}
     for stock_id, stock_rows in by_stock.items():
         summary, jb_table, firm_table = analyze_stock(stock_rows, config, bootstrap_seed)
         stock_out = config.out() / "analysis" / names[stock_id]
@@ -640,7 +637,8 @@ def _read_analysis(config: RunConfig) -> dict[str, tuple[str, dict]]:
     order, once every record is read, patches.csv is shown to be the file
     analyze read, and every analysis file the one it wrote; DataError
     otherwise."""
-    record = _read_records(config, required=("analysis/stocks.json",), reads=("patches.csv",))["analysis/stocks.json"]
+    records, _ = _read_records(config, required=("analysis/stocks.json",), reads=("patches.csv",))
+    record = records["analysis/stocks.json"]
     names = record["stocks"]
     files = [f"analysis/{names[stock_id]}/{name}" for stock_id in sorted(names) for name in ANALYSIS_FILES]
     _check_files(config, {"analysis/stocks.json": record}, files)
@@ -819,6 +817,8 @@ def run_report(config: RunConfig) -> dict:
     _write_plot_data(config, analysis)
     _write_json(out / "report.json", report)
     _report_tables(config, report)
+    # Every record passed its checks, so no stage's failure stands.
+    (out / FAILURE_MARKER).unlink(missing_ok=True)
     return report
 
 
@@ -826,7 +826,6 @@ def run_pipeline(config: RunConfig) -> dict:
     """Run every stage in order; on failure leave a marker naming the stage."""
     out = config.out()
     out.mkdir(parents=True, exist_ok=True)
-    marker = out / FAILURE_MARKER
     table: TradeTable | None = None
     stage = "setup"
     try:
@@ -842,10 +841,7 @@ def run_pipeline(config: RunConfig) -> dict:
         stage = "analyze"
         run_analyze(config)
         stage = "report"
-        report = run_report(config)
+        return run_report(config)
     except Exception as exc:
-        _write_json(marker, {"stage": stage, "error": f"{type(exc).__name__}: {exc}"})
+        _write_json(out / FAILURE_MARKER, {"stage": stage, "error": f"{type(exc).__name__}: {exc}"})
         raise
-    if marker.exists():
-        marker.unlink()
-    return report

@@ -82,13 +82,6 @@ class SeriesColumns:
             yield SignedSeries(firm_id, stock_id, self.timestamps[lo:hi], self.signed_values[lo:hi])
 
 
-@dataclass(frozen=True, slots=True)
-class FirmActivity:
-    firm_id: str
-    trades_per_year: dict[int, int]
-    active_days_per_year: dict[int, int]
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -491,8 +484,10 @@ class TradeTable:
         """Yield the SignedSeries of series_columns(firm_ids) in order."""
         return iter(self.series_columns(firm_ids))
 
-    def activity(self) -> dict[str, FirmActivity]:
-        """Per-firm trade and distinct-active-day counts by calendar year (UTC)."""
+    def activity(self) -> dict[str, dict[str, dict[int, int]]]:
+        """Per-firm trade and distinct-active-day counts by calendar year (UTC):
+        {firm_id: {"trades_per_year": {year: n}, "active_days_per_year": {year: n}}},
+        the firms map of activity.json."""
         if len(self) == 0:
             return {}
         first_day, last_day = (t // _SECONDS_PER_DAY for t in self.span())
@@ -526,20 +521,12 @@ class TradeTable:
         trade_counts = np.add.reduceat(day_trades, starts)
         active_days = np.diff(np.append(starts, len(firm_year)))
 
-        trades_per: dict[int, dict[int, int]] = {}
-        days_per: dict[int, dict[int, int]] = {}
+        firms = [{"trades_per_year": {}, "active_days_per_year": {}} for _ in self.firms]
         for key, trades, days in zip(firm_year[starts].tolist(), trade_counts.tolist(), active_days.tolist()):
-            firm, year = divmod(key, year_span)
-            trades_per.setdefault(firm, {})[year_min + year] = trades
-            days_per.setdefault(firm, {})[year_min + year] = days
-        return {
-            firm_id: FirmActivity(
-                firm_id=firm_id,
-                trades_per_year=trades_per.get(code, {}),
-                active_days_per_year=days_per.get(code, {}),
-            )
-            for code, firm_id in enumerate(self.firms)
-        }
+            code, year = divmod(key, year_span)
+            firms[code]["trades_per_year"][year_min + year] = trades
+            firms[code]["active_days_per_year"][year_min + year] = days
+        return dict(zip(self.firms, firms))
 
     def span(self) -> tuple[int, int]:
         if len(self) == 0:
@@ -576,7 +563,7 @@ def filter_active_firms(
 
 
 def qualified_firms(
-    activity: dict[str, FirmActivity],
+    activity: dict[str, dict[str, dict[int, int]]],
     span: Sequence[int] | None,
     min_trades_per_year: int,
     min_active_days: int,
@@ -589,7 +576,7 @@ def qualified_firms(
     """
     if mode not in ("strict", "prorated"):
         raise ValueError(f"mode must be strict or prorated, got {mode!r}")
-    dataset_years = sorted({year for a in activity.values() for year in a.trades_per_year})
+    dataset_years = sorted({year for firm in activity.values() for year in firm["trades_per_year"]})
     scale = {
         year: _year_coverage(span, year) if mode == "prorated" else 1.0
         for year in dataset_years
@@ -597,8 +584,8 @@ def qualified_firms(
     qualified = set()
     for firm_id, firm in activity.items():
         ok = all(
-            firm.trades_per_year.get(year, 0) >= min_trades_per_year * scale[year]
-            and firm.active_days_per_year.get(year, 0) >= min_active_days * scale[year]
+            firm["trades_per_year"].get(year, 0) >= min_trades_per_year * scale[year]
+            and firm["active_days_per_year"].get(year, 0) >= min_active_days * scale[year]
             for year in dataset_years
         )
         if ok:

@@ -5,6 +5,7 @@ import csv
 import json
 import re
 import shutil
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -698,6 +699,21 @@ def test_a_rerun_leaves_no_stock_of_the_run_before(small_run, tmp_path, capsys):
     assert list(json.loads((out / "report.json").read_text())["stocks"]) == ["ABC"]
 
 
+def test_a_staged_report_clears_the_marker_of_a_failed_all(small_run, tmp_path):
+    config, _ = small_run
+    good = config.out() / "tape.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(good.read_text().splitlines(keepends=True)[:2000]) + "bad,row\n")
+    out = ["--output-dir", str(tmp_path / "out"), *SMALL_RUN_FLAGS]
+    marker = tmp_path / "out" / pipeline.FAILURE_MARKER
+    assert main(["all", "--tape", str(bad), *out]) == EXIT_DATA
+    assert json.loads(marker.read_text())["stage"] == "ingest"
+    # Only a report that passed every record check clears it.
+    for command in ("ingest", "segment", "analyze", "report"):
+        assert main([command, "--tape", str(good), *out]) == EXIT_OK, command
+        assert marker.exists() == (command != "report"), command
+
+
 def test_patches_csv_alone_reaches_the_report(small_run, tmp_path):
     config, report = small_run
     out = tmp_path / "out"
@@ -751,6 +767,16 @@ def test_readme_names_one_files_map_and_no_retired_digest_key():
     assert "`files`" in readme
     retired = ("tape_sha256", "ingested_sha256", "activity_sha256", "patches_sha256", "analysis_sha256")
     assert [key for key in retired if key in readme] == []
+
+
+def test_readme_and_pyproject_state_one_python_floor():
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        required = tomllib.load(handle)["project"]["requires-python"]
+    floor = re.fullmatch(r">=(\d+)\.(\d+)", required)
+    assert floor, required
+    assert f"Requires Python ≥ {floor[1]}.{floor[2]} " in _readme()
+    # pipeline hashes files with hashlib.file_digest, new in 3.11.
+    assert (int(floor[1]), int(floor[2])) >= (3, 11)
 
 
 def test_readme_names_every_flag():

@@ -380,11 +380,11 @@ _REPORT_HASHES = {"activity.json": 1, "patches.csv": 1, **_ANALYSIS}
     [
         ("ingest", {"tape.csv": 1, **_INGESTED}),
         ("segment", {"tape.csv": 1, **_INGESTED, "activity.json": 1, "patches.csv": 1}),
-        # analyze hashes patches.csv to check it and again to record it.
-        ("analyze", {"activity.json": 1, "patches.csv": 2, **_ANALYSIS}),
+        # analyze records the digest of patches.csv that its check computed.
+        ("analyze", {"activity.json": 1, "patches.csv": 1, **_ANALYSIS}),
         ("report", _REPORT_HASHES),
         # segment takes ingest's series in memory, so the tape and ingested/ are hashed once.
-        ("pipeline", {"tape.csv": 1, **_INGESTED, "activity.json": 3, "patches.csv": 4,
+        ("pipeline", {"tape.csv": 1, **_INGESTED, "activity.json": 3, "patches.csv": 3,
                       **{name: 2 for name in _ANALYSIS}}),
     ],
     ids=["ingest", "segment", "analyze", "report", "all"],
@@ -500,6 +500,27 @@ def test_ingest_reads_activity_once(tmp_path, monkeypatch):
     assert qualified == filter_active_firms(
         table, min_trades_per_year=300, min_active_days=40, mode="prorated"
     )
+
+
+def test_activity_json_records_the_map_activity_returns(tmp_path):
+    # Mid-2019 to mid-2021, so prorated thresholds scale the first and last
+    # years: DAILY trades every day of the span, WEEKLY every week and TWO_YEARS
+    # every day of 2019 and 2020 only.
+    start, day = 1561939200, 86400  # 2019-07-01 UTC
+    rows = [(start + d * day + 60, "DAILY", "SAN", "B", 1.0) for d in range(731)]
+    rows += [(start + d * day + 120, "WEEKLY", "BBVA", "S", 2.0) for d in range(0, 731, 7)]
+    rows += [(start + d * day + 180, "TWO_YEARS", "SAN", "S", 3.0) for d in range(550)]
+    tape = tmp_path / "tape.csv"
+    write_tape(sorted(rows), tape)
+    config = RunConfig(
+        output_dir=str(tmp_path / "out"), tape=str(tape), min_trades_per_year=10, min_active_days=5,
+        activity_mode="prorated",
+    )
+    _, qualified = run_ingest(config)
+    recorded = json.loads((config.out() / "activity.json").read_text())
+    assert recorded["firms"] == json.loads(json.dumps(TradeTable.from_csv(tape).activity()))
+    assert list(recorded["firms"]["DAILY"]["trades_per_year"]) == ["2019", "2020", "2021"]
+    assert qualified == {"DAILY", "WEEKLY"}
 
 
 def test_analyze_draws_one_resample_set_per_stock(small_run, monkeypatch):

@@ -488,8 +488,8 @@ def test_firm_activity_counts_days_and_trades():
     start_2020 = 1577836800  # 2020-01-01 UTC
     rows = _active_rows("F1", start_2020, 3, 4)
     activity = make_table(rows).activity()
-    assert activity["F1"].trades_per_year == {2020: 12}
-    assert activity["F1"].active_days_per_year == {2020: 3}
+    assert activity["F1"]["trades_per_year"] == {2020: 12}
+    assert activity["F1"]["active_days_per_year"] == {2020: 3}
 
 
 def _activity_oracle(rows):
@@ -517,8 +517,8 @@ def _assert_activity_matches_the_loop():
     activity = make_table(rows).activity()
     assert set(activity) == set(counts)
     for firm in counts:
-        assert activity[firm].trades_per_year == counts[firm]
-        assert activity[firm].active_days_per_year == days[firm]
+        assert activity[firm]["trades_per_year"] == counts[firm]
+        assert activity[firm]["active_days_per_year"] == days[firm]
 
 
 def test_firm_activity_matches_a_loop_over_trades():
