@@ -24,26 +24,6 @@ DEFAULT_MIN_FIRM_PATCHES = 10
 
 
 @dataclass(frozen=True, slots=True)
-class Patch:
-    """One contiguous segment of a signed series with its trade aggregates.
-
-    V is exactly V_b + V_s; the range is [start, end) over series indices.
-    """
-
-    firm_id: str
-    stock_id: str
-    start: int
-    end: int
-    V_b: float
-    V_s: float
-    V: float
-    n_buy: int
-    n_sell: int
-    t_first: int
-    t_last: int
-
-
-@dataclass(frozen=True, slots=True)
 class PatchRecord:
     """One patches.csv row: a classified patch and the variables the analysis reads.
 
@@ -94,8 +74,27 @@ class PatchRecord:
                 )
 
 
-def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
-    """One Patch per consecutive boundary pair; ranges tile the series exactly."""
+def _direction(v_b: float, v_s: float, theta: float) -> str:
+    """Buy iff V_b/V > theta, sell iff V_s/V > theta, otherwise non-directional; V = V_b + V_s."""
+    v = v_b + v_s
+    if v <= 0.0:
+        return NON_DIRECTIONAL
+    if v_b / v > theta:
+        return DIRECTION_BUY
+    if v_s / v > theta:
+        return DIRECTION_SELL
+    return NON_DIRECTIONAL
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.5 < theta <= 1.0:
+        raise ValueError(f"theta must be in (0.5, 1], got {theta}")
+
+
+def cut_patches(series: SignedSeries, seg: Segmentation, theta: float = DEFAULT_THETA) -> list[PatchRecord]:
+    """The patches.csv record of each consecutive boundary pair, classified at
+    theta; the ranges tile the series exactly."""
+    _check_theta(theta)
     boundaries = seg.boundaries
     n = len(series)
     if not boundaries or boundaries[0] != 0 or boundaries[-1] != n:
@@ -123,68 +122,37 @@ def cut_patches(series: SignedSeries, seg: Segmentation) -> list[Patch]:
                     f"firm {series.firm_id!r}, stock {series.stock_id!r}: patch [{start}, {end}) "
                     f"traded value overflows: V_b={v_b!r}, V_s={v_s!r}"
                 )
+            direction = _direction(v_b, v_s, theta)
+            if direction == DIRECTION_BUY:
+                n_m, v_m = b1 - b0, v_b
+            elif direction == DIRECTION_SELL:
+                n_m, v_m = int(end - start) - (b1 - b0), v_s
+            else:
+                n_m = v_m = None
+            t = int(timestamps[end - 1]) - int(timestamps[start])
             out.append(
-                Patch(
-                    firm_id=series.firm_id,
-                    stock_id=series.stock_id,
-                    start=int(start),
-                    end=int(end),
-                    V_b=v_b,
-                    V_s=v_s,
-                    V=v_b + v_s,
-                    n_buy=b1 - b0,
-                    n_sell=int(end - start) - (b1 - b0),
-                    t_first=int(timestamps[start]),
-                    t_last=int(timestamps[end - 1]),
-                )
+                PatchRecord(series.firm_id, series.stock_id, int(start), int(end), direction, t, n_m, v_m, v_b, v_s)
             )
     return out
 
 
-def classify(patch: Patch, theta: float = DEFAULT_THETA) -> str:
-    """Buy iff V_b/V > theta, sell iff V_s/V > theta, otherwise non-directional.
+def classify(patch: PatchRecord, theta: float = DEFAULT_THETA) -> str:
+    """The direction of patch's V_b and V_s at theta, by the rule cut_patches applies.
 
     The inequality is strict, so a patch exactly at the threshold is
     non-directional.  theta above 0.5 makes the outcomes mutually exclusive.
     """
-    if not 0.5 < theta <= 1.0:
-        raise ValueError(f"theta must be in (0.5, 1], got {theta}")
-    if patch.V <= 0.0:
-        return NON_DIRECTIONAL
-    if patch.V_b / patch.V > theta:
-        return DIRECTION_BUY
-    if patch.V_s / patch.V > theta:
-        return DIRECTION_SELL
-    return NON_DIRECTIONAL
+    _check_theta(theta)
+    return _direction(patch.V_b, patch.V_s, theta)
 
 
-def record(patch: Patch, direction: str) -> PatchRecord:
-    """The patches.csv record of a patch classified as direction."""
-    if direction == DIRECTION_BUY:
-        n_m, v_m = patch.n_buy, patch.V_b
-    elif direction == DIRECTION_SELL:
-        n_m, v_m = patch.n_sell, patch.V_s
-    else:
-        n_m = v_m = None
-    return PatchRecord(
-        firm_id=patch.firm_id,
-        stock_id=patch.stock_id,
-        start=patch.start,
-        end=patch.end,
-        direction=direction,
-        T=patch.t_last - patch.t_first,
-        N_m=n_m,
-        V_m=v_m,
-        V_b=patch.V_b,
-        V_s=patch.V_s,
-    )
-
-
-def as_directional(patch: Patch, direction: str) -> PatchRecord:
-    """The record of an already-classified buy or sell patch."""
-    if direction not in (DIRECTION_BUY, DIRECTION_SELL):
-        raise ValueError(f"direction must be buy or sell, got {direction!r}")
-    return record(patch, direction)
+def as_directional(patch: PatchRecord, direction: str) -> PatchRecord:
+    """patch, once shown to be a buy or sell record of the given direction."""
+    if direction not in (DIRECTION_BUY, DIRECTION_SELL) or direction != patch.direction:
+        raise ValueError(
+            f"direction must be buy or sell and the record's own {patch.direction!r}, got {direction!r}"
+        )
+    return patch
 
 
 def select_directional(

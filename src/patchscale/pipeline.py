@@ -210,8 +210,11 @@ def _safe_name(name: str, taken: set[str]) -> str:
 
 
 def stock_dir_names(stock_ids: list[str]) -> dict[str, str]:
-    """Deterministic filesystem-safe directory name per stock id."""
-    taken: set[str] = set()
+    """Deterministic filesystem-safe directory name per stock id.
+
+    No stock is named ., .. or stocks.json: under analysis/ those would be
+    analysis/ itself, the output directory and analyze's record."""
+    taken = {".", "..", "stocks.json"}
     return {stock_id: _safe_name(stock_id, taken) for stock_id in sorted(stock_ids)}
 
 
@@ -435,10 +438,7 @@ def run_segment(config: RunConfig, series: SeriesColumns | None = None) -> Path:
                 "boundaries": list(seg.boundaries),
             }
         )
-        records.extend(
-            patches.record(patch, patches.classify(patch, config.theta))
-            for patch in patches.cut_patches(one, seg)
-        )
+        records.extend(patches.cut_patches(one, seg, config.theta))
     path = config.out() / "patches.csv"
     # csv writes None as an empty field and a float as its repr.
     _write_csv(path, PATCH_CSV_HEADER, map(_patch_csv_row, records))

@@ -243,26 +243,30 @@ def _parse_plain(path: str | Path) -> TradeTable | None:
     """The table of an unquoted LF tape, parsed block-wise; None if the row loop must parse it.
 
     Accepts a subset of what the row loop accepts, with the same values:
-    the exact header, valid UTF-8 without the bytes of _ROW_LOOP_BYTES, a
-    final newline, no blank line, and per row five fields that numpy's
-    tokenizer reads as an int64 timestamp up to _MAX_TIMESTAMP, two ids, a
-    side B or S and a finite positive float64 value.
+    the exact header, valid UTF-8 without the bytes of _ROW_LOOP_BYTES, no
+    blank line, and per row five fields that numpy's tokenizer reads as an
+    int64 timestamp up to _MAX_TIMESTAMP, two ids, a side B or S and a
+    finite positive float64 value.  The last line may lack its newline.
 
-    A first pass counts the lines, so the columns are allocated once and
+    A first pass counts the rows, so the columns are allocated once and
     each block parses into its own rows of them.
     """
     firms, stocks = _Interner(), _Interner()
     with open(path, "rb") as handle:
         if handle.read(len(_HEADER_LINE)) != _HEADER_LINE:
             return None
-        n = sum(chunk.count(b"\n") for chunk in iter(lambda: handle.read(_READ_BYTES), b""))
+        n, last = 0, b"\n"
+        for chunk in iter(lambda: handle.read(_READ_BYTES), b""):
+            n, last = n + chunk.count(b"\n"), chunk[-1:]
+        n += last != b"\n"  # an unterminated last line is a row too
         if n == 0:
             return None
         handle.seek(len(_HEADER_LINE))
         columns = [np.empty(n, dtype) for dtype in (np.int64, np.int32, np.int32, np.int8, np.float64)]
         # Ids of up to 8 bytes are interned as uint64 keys.
         filled, tail, widths = 0, b"", (8, 8)
-        while chunk := handle.read(_READ_BYTES):
+        # At the end of the tape, a newline ends an unterminated last line.
+        while chunk := handle.read(_READ_BYTES) or (b"\n" if tail else b""):
             buffer = tail + chunk
             cut = buffer.rfind(b"\n") + 1
             block, tail = buffer[:cut], buffer[cut:]
@@ -279,7 +283,7 @@ def _parse_plain(path: str | Path) -> TradeTable | None:
             for column, part in zip(columns, parts):
                 column[rows] = part
             filled = rows.stop
-    if tail or filled != n:
+    if filled != n:
         return None
     return TradeTable(*columns, firms.ids, stocks.ids)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from patchscale import allometry
-from patchscale.patches import Patch, PatchRecord
+from patchscale.patches import PatchRecord
 from patchscale.pipeline import RunConfig, run_pipeline
 from patchscale.synth import small_preset
 from patchscale.trades import SignedSeries, TradeTable
@@ -40,31 +40,9 @@ def make_series(values, timestamps=None, firm_id="F0", stock_id="S0") -> SignedS
     )
 
 
-def make_patch(
-    firm_id="F0",
-    stock_id="S0",
-    start=0,
-    end=10,
-    V_b=90.0,
-    V_s=10.0,
-    n_buy=9,
-    n_sell=1,
-    t_first=0,
-    t_last=900,
-) -> Patch:
-    return Patch(
-        firm_id=firm_id,
-        stock_id=stock_id,
-        start=start,
-        end=end,
-        V_b=V_b,
-        V_s=V_s,
-        V=V_b + V_s,
-        n_buy=n_buy,
-        n_sell=n_sell,
-        t_first=t_first,
-        t_last=t_last,
-    )
+def make_patch(firm_id="F0", stock_id="S0", start=0, end=10, V_b=90.0, V_s=10.0, T=900) -> PatchRecord:
+    """A non-directional record of the given traded values, for classify to label."""
+    return PatchRecord(firm_id, stock_id, start, end, "none", T, None, None, V_b, V_s)
 
 
 def make_directional(firm_id="F0", T=900, N_m=9, V_m=90.0, direction="buy") -> PatchRecord:

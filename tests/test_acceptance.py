@@ -274,8 +274,9 @@ def test_criterion_7_directional_properties():
         directional = set()
         for index, patch in enumerate(pool):
             label = classify(patch, theta)
-            buy_dominates = patch.V > 0 and patch.V_b / patch.V > theta
-            sell_dominates = patch.V > 0 and patch.V_s / patch.V > theta
+            v = patch.V_b + patch.V_s
+            buy_dominates = v > 0 and patch.V_b / v > theta
+            sell_dominates = v > 0 and patch.V_s / v > theta
             assert not (buy_dominates and sell_dominates)
             expected = "buy" if buy_dominates else "sell" if sell_dominates else "none"
             assert label == expected

@@ -699,6 +699,39 @@ def test_a_rerun_leaves_no_stock_of_the_run_before(small_run, tmp_path, capsys):
     assert list(json.loads((out / "report.json").read_text())["stocks"]) == ["ABC"]
 
 
+def test_stock_ids_that_name_a_special_path_keep_to_their_directories(small_run, tmp_path, capsys):
+    # As directory names, "." would be analysis/ itself, ".." the output
+    # directory and "stocks.json" analyze's record.
+    config, _ = small_run
+    ids = ["..", ".", "stocks.json", "S1"]
+    header, *rows = (config.out() / "tape.csv").read_text().splitlines(keepends=True)
+    firms = sorted({row.split(",")[1] for row in rows})
+    stock = {firm: ids[i % len(ids)] for i, firm in enumerate(firms)}
+    tape = tmp_path / "tape.csv"
+    tape.write_text(header + "".join(row.replace(",SYN,", f",{stock[row.split(',')[1]]},") for row in rows))
+    out = tmp_path / "out"
+    assert main(["all", "--tape", str(tape), "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_OK
+    names = json.loads((out / "analysis" / "stocks.json").read_text())["stocks"]
+    assert sorted(names) == sorted(ids)
+    assert not {".", "..", "stocks.json"} & set(names.values())
+    written = 0
+    for top in ("analysis", "plots"):
+        for path in (out / top).rglob("*"):
+            if path.is_file() and path != out / "analysis" / "stocks.json":
+                assert path.parent.parent == out / top and path.parent.name in names.values(), path
+                written += 1
+    assert written == len(ids) * (len(pipeline.ANALYSIS_FILES) + 12)
+    assert not (out / "summary.json").exists()
+    assert sorted(json.loads((out / "report.json").read_text())["stocks"]) == sorted(ids)
+    # A record naming ".." as a stock's directory is refused.
+    record = out / "analysis" / "stocks.json"
+    data = json.loads(record.read_text())
+    data["stocks"][".."] = ".."
+    record.write_text(json.dumps(data))
+    assert main(["report", "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    assert "stocks is missing or malformed; run analyze again" in capsys.readouterr().err
+
+
 def test_a_staged_report_clears_the_marker_of_a_failed_all(small_run, tmp_path):
     config, _ = small_run
     good = config.out() / "tape.csv"

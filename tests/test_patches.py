@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_patch, make_series
+from conftest import make_directional, make_patch, make_series
 from patchscale.errors import DataError
 from patchscale.patches import (
     PatchRecord,
     as_directional,
     classify,
     cut_patches,
-    record,
     select_directional,
     variables,
 )
@@ -31,14 +30,11 @@ def test_cut_patches_tiles_series_with_aggregates():
     assert (first.start, first.end) == (0, 4)
     assert first.V_b == pytest.approx(30.0)
     assert first.V_s == pytest.approx(2.0)
-    assert first.V == pytest.approx(first.V_b + first.V_s)
-    assert (first.n_buy, first.n_sell) == (3, 1)
-    assert (first.t_first, first.t_last) == (100, 400)
+    assert (first.direction, first.T, first.N_m, first.V_m) == ("buy", 300, 3, first.V_b)
 
     assert (second.start, second.end) == (4, 6)
     assert second.V_s == pytest.approx(35.0)
-    assert (second.n_buy, second.n_sell) == (0, 2)
-    assert (second.t_first, second.t_last) == (500, 520)
+    assert (second.direction, second.T, second.N_m, second.V_m) == ("sell", 20, 2, second.V_s)
 
 
 def test_cut_patches_all_buy_patch_has_positive_zero_sell_volume():
@@ -89,24 +85,38 @@ def test_classify_theta_validation():
         classify(patch, 1.2)
 
 
+def _buy_sell_and_mixed(theta=0.75):
+    """The records of three patches: 9 buys of 10 and a sell of 10, a buy of
+    10 and 9 sells of 10, and a buy of 60 and a sell of 40, each over 900 s."""
+    values = [10.0] * 9 + [-10.0] + [10.0] + [-10.0] * 9 + [60.0, -40.0]
+    timestamps = list(range(50, 1000, 100)) + list(range(1000, 1901, 100)) + [3000, 3900]
+    series = make_series(values, timestamps)
+    return cut_patches(series, Segmentation(boundaries=(0, 10, 20, 22)), theta)
+
+
 def test_as_directional_maps_dominant_side():
-    buy = as_directional(make_patch(V_b=90.0, V_s=10.0, n_buy=9, n_sell=1, t_first=50, t_last=950), "buy")
-    assert (buy.T, buy.N_m, buy.V_m) == (900, 9, 90.0)
-    sell = as_directional(make_patch(V_b=10.0, V_s=90.0, n_buy=1, n_sell=9, t_first=50, t_last=950), "sell")
-    assert (sell.T, sell.N_m, sell.V_m) == (900, 9, 90.0)
+    buy, sell, mixed = _buy_sell_and_mixed()
+    assert (buy.direction, buy.T, buy.N_m, buy.V_m) == ("buy", 900, 9, 90.0)
+    assert (sell.direction, sell.T, sell.N_m, sell.V_m) == ("sell", 900, 9, 90.0)
+    assert as_directional(buy, "buy") is buy
+    assert as_directional(sell, "sell") is sell
     with pytest.raises(ValueError, match="buy or sell"):
-        as_directional(make_patch(), "none")
+        as_directional(mixed, "none")
+    with pytest.raises(ValueError, match="the record's own 'buy', got 'sell'"):
+        as_directional(buy, "sell")
 
 
 def test_record_carries_patches_csv_columns():
-    patch = make_patch(start=3, end=13, V_b=60.0, V_s=40.0, t_first=50, t_last=950)
-    assert record(patch, "none") == PatchRecord("F0", "S0", 3, 13, "none", 900, None, None, 60.0, 40.0)
-    assert record(patch, "buy") == PatchRecord("F0", "S0", 3, 13, "buy", 900, 9, 60.0, 60.0, 40.0)
+    assert _buy_sell_and_mixed() == [
+        PatchRecord("F0", "S0", 0, 10, "buy", 900, 9, 90.0, 90.0, 10.0),
+        PatchRecord("F0", "S0", 10, 20, "sell", 900, 9, 90.0, 10.0, 90.0),
+        PatchRecord("F0", "S0", 20, 22, "none", 900, None, None, 60.0, 40.0),
+    ]
+    assert _buy_sell_and_mixed(theta=0.55)[2] == PatchRecord("F0", "S0", 20, 22, "buy", 900, 1, 60.0, 60.0, 40.0)
 
 
 def _directional(series, seg, theta, min_trades):
-    records = [record(p, classify(p, theta)) for p in cut_patches(series, seg)]
-    return select_directional(records, min_trades)
+    return select_directional(cut_patches(series, seg, theta), min_trades)
 
 
 def test_directional_patches_filters_short_and_nondirectional():
@@ -140,8 +150,8 @@ def test_directional_patches_theta_monotonicity():
 
 def test_variables_arrays_align():
     patches = [
-        as_directional(make_patch(V_b=90.0, V_s=10.0, n_buy=9, t_last=900), "buy"),
-        as_directional(make_patch(V_b=5.0, V_s=45.0, n_buy=1, n_sell=5, t_last=300), "sell"),
+        make_directional(T=900, N_m=9, V_m=90.0),
+        make_directional(T=300, N_m=5, V_m=45.0, direction="sell"),
     ]
     out = variables(patches)
     assert out["T"].tolist() == [900, 300]

@@ -30,6 +30,7 @@ from patchscale.pipeline import (
     run_segment,
     run_synth,
 )
+from patchscale.segmentation import Segmentation
 from patchscale.synth import SynthConfig, small_preset
 from patchscale.trades import TradeTable, filter_active_firms
 
@@ -122,6 +123,17 @@ def test_patches_csv_has_no_negative_zero(small_run):
         rows = list(csv.reader(fh))
     assert any(row[-1] == "0.0" for row in rows[1:])
     assert not [row for row in rows if "-0.0" in row]
+
+
+def test_patches_csv_holds_the_records_cut_patches_returns(small_run):
+    config, _ = small_run
+    activity = json.loads((config.out() / "activity.json").read_text())
+    segments = json.loads((config.out() / "segmentations.json").read_text())["series"]
+    expected = []
+    for one, segment in zip(pipeline._load_ingested(config, activity), segments, strict=True):
+        assert [one.firm_id, one.stock_id] == [segment["firm_id"], segment["stock_id"]]
+        expected += patches.cut_patches(one, Segmentation(tuple(segment["boundaries"])), config.theta)
+    assert read_patch_rows(config.out() / "patches.csv") == expected
 
 
 def test_every_float_cell_of_every_csv_is_its_repr(small_run):

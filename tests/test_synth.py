@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import make_patch
 from patchscale.lognormal import jarque_bera
-from patchscale.patches import Patch, classify
+from patchscale.patches import classify
 from patchscale.segmentation import segment
 from patchscale.synth import (
     SynthConfig,
@@ -184,18 +185,14 @@ def test_planted_packages_classify_directional_under_noise():
             rows = values[pkg.start : pkg.end]
             buys = rows[rows > 0]
             sells = rows[rows < 0]
-            patch = Patch(
+            patch = make_patch(
                 firm_id=firm_id,
                 stock_id=pkg.stock_id,
                 start=pkg.start,
                 end=pkg.end,
                 V_b=float(buys.sum()),
                 V_s=float(-sells.sum()),
-                V=float(abs(rows).sum()),
-                n_buy=len(buys),
-                n_sell=len(sells),
-                t_first=0,
-                t_last=pkg.T,
+                T=pkg.T,
             )
             assert classify(patch, 0.75) == pkg.direction
 

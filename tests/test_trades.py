@@ -150,6 +150,8 @@ FAST_TAPES = {
     # 16-byte firm ids, one of 300 bytes on line 2, and stock ids of under 8 bytes.
     "long firm ids, short stock ids": "1,FIRM-LONGNAME-0,S1,B,1.0\n2," + "F" * 300 + ",STOCK-1,S,2.0\n"
     + "".join(f"{t},FIRM-LONGNAME-{t % 4},S{t % 3},B,{t}.5\n" for t in range(3, 30)),
+    # The last line, unterminated, is parsed as the last block.
+    "no final newline": "1,F1,S1,B,1.0\n2,F2,S1,S,2.0",
 }
 
 FALLBACK_TAPES = {
@@ -164,10 +166,6 @@ FALLBACK_TAPES = {
     "NUL in an id": (HEADER + "1,F\x001,S1,B,1.0\n", [[1], ["F\x001"], ["S1"], [1], [1.0]]),
     "CRLF line ends": (
         HEADER.replace("\n", "\r\n") + "1,F1,S1,B,1.0\r\n2,F2,S1,S,2.0\r\n",
-        [[1, 2], ["F1", "F2"], ["S1", "S1"], [1, -1], [1.0, 2.0]],
-    ),
-    "no final newline": (
-        HEADER + "1,F1,S1,B,1.0\n2,F2,S1,S,2.0",
         [[1, 2], ["F1", "F2"], ["S1", "S1"], [1, -1], [1.0, 2.0]],
     ),
     "header only": (HEADER, [[], [], [], [], []]),
