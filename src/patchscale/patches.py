@@ -31,8 +31,8 @@ class PatchRecord:
     dominant side's trade count and value, and are None exactly when the
     direction is non-directional.  A record that cannot be meaningful (a
     non-finite or negative value, negative T, a negative start, start >= end,
-    an N_m outside [1, end - start], or a V_m that is not positive or not its
-    own side's value) raises ValueError.
+    an N_m outside [1, end - start], or a V_m that is not its own side's value
+    or not above the other side's) raises ValueError.
     """
 
     firm_id: str
@@ -66,11 +66,12 @@ class PatchRecord:
         if directional:
             if not 1 <= self.N_m <= self.end - self.start:
                 raise ValueError(f"N_m must be in [1, end - start] = [1, {self.end - self.start}], got {self.N_m!r}")
-            own = "V_b" if self.direction == DIRECTION_BUY else "V_s"
-            if not 0.0 < self.V_m == getattr(self, own):
+            own, other = ("V_b", "V_s") if self.direction == DIRECTION_BUY else ("V_s", "V_b")
+            # The dominant side holds more than half the value at any theta.
+            if not getattr(self, other) < self.V_m == getattr(self, own):
                 raise ValueError(
-                    f"V_m of a {self.direction} row must be > 0 and equal its {own}, got V_m={self.V_m!r}, "
-                    f"{own}={getattr(self, own)!r}"
+                    f"V_m of a {self.direction} row must equal its {own} and exceed its {other}, got "
+                    f"V_m={self.V_m!r}, {own}={getattr(self, own)!r}, {other}={getattr(self, other)!r}"
                 )
 
 

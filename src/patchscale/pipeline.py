@@ -6,16 +6,17 @@ can be re-run independently:
     tape.csv, ground_truth.json        synth
     activity.json, ingested/           ingest
     segmentations.json, patches.csv    segment
-    analysis/<stock>/...               analyze
-    report.json, report_*.csv, plots/  report
+    analysis/<stock>/, plots/<stock>/  analyze
+    report.json, report_*.csv          report
 
 ingest sorts the qualifying firms' trades into (firm, stock) series once;
 ingested/ holds them laid end to end, and segment cuts them from there
 without the tape.  `all` hands ingest's series to segment in memory.
 
-Every stage is deterministic given the run config and seed; derived seeds
-feed the generator ([seed, 0] and [seed, 1, firm]), the Monte Carlo
-significance null ([seed, 2]) and the bootstrap ([seed, 3]).
+Every stage is deterministic given the run config and seed at one BLAS
+thread count; at another, the bootstrap's moment sums may round differently.
+Derived seeds feed the generator ([seed, 0] and [seed, 1, firm]), the Monte
+Carlo significance null ([seed, 2]) and the bootstrap ([seed, 3]).
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def _read_records(
     the one writing before (of every stage when None): those that exist and
     the required ones.  DataError unless each is an object holding the keys
     later stages index, config agrees with every setting it holds, and each
-    record read and each file of reads that exists has the sha256 that every
+    record read and each file of reads is there with the sha256 that every
     record read naming it holds.  Returns the records and, by path, the sha256
     of each file so checked."""
     out = config.out()
@@ -282,7 +283,7 @@ def _read_records(
                     f"{name} = {getattr(config, name)!r}; give every stage the same settings"
                 )
         records[artifact] = recorded
-    for name in (*records, *(name for name in reads if (out / name).is_file())):
+    for name in (*records, *reads):
         if naming := {artifact: record for artifact, record in records.items() if name in record["files"]}:
             digests.update(_check_files(config, naming, [name]))
     return records, digests
@@ -541,9 +542,12 @@ def _dispersion(values: list[float]) -> dict:
     }
 
 
-def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: int) -> tuple[dict, list, list]:
-    """All per-stock statistics from that stock's patch rows: the summary, and
-    the rows of lognormality.csv and of per_firm_exponents.csv."""
+def analyze_stock(
+    rows: list[PatchRecord], config: RunConfig, bootstrap_seed: int
+) -> tuple[dict, list, dict[str, allometry.FirmExponents], dict[str, np.ndarray], np.ndarray]:
+    """All per-stock statistics from that stock's patch rows: the summary, the
+    rows of lognormality.csv, each firm's exponents, and the variables and log
+    points of the directional rows, which the plots draw."""
     total = len(rows)
     big_enough = [row for row in rows if row.end - row.start >= config.min_patch_trades]
     below_min = total - len(big_enough)
@@ -594,7 +598,7 @@ def analyze_stock(rows: list[PatchRecord], config: RunConfig, bootstrap_seed: in
         "per_firm_exponents": exponents,
     }
     jb_table = list(map(astuple, sorted(jb_rows, key=attrgetter("firm_id", "variable"))))
-    return summary, jb_table, list(map(astuple, firm_fits.values()))
+    return summary, jb_table, firm_fits, values, points
 
 
 def _by_stock(rows: list[PatchRecord]) -> dict[str, list[PatchRecord]]:
@@ -605,27 +609,64 @@ def _by_stock(rows: list[PatchRecord]) -> dict[str, list[PatchRecord]]:
     return dict(sorted(by_stock.items()))
 
 
+def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[float, float]]:
+    centroid = pair_pts.mean(axis=0)
+    lo = float(pair_pts[:, 0].min())
+    hi = float(pair_pts[:, 0].max())
+    cx, cy = float(centroid[0]), float(centroid[1])
+    return [(lo, cy + slope * (lo - cx)), (cx, cy), (hi, cy + slope * (hi - cx))]
+
+
+def _write_plots(stock_out: Path, values: dict, points: np.ndarray, firm_fits: dict, slopes: dict) -> None:
+    """A stock's plot data under stock_out, from analyze_stock's values,
+    points and firm_fits: the CCDF of each variable, each log-log scatter with
+    its principal axis through the centroid (none when slopes, the summary's
+    bivariate section, holds no fit), and a histogram of each per-firm
+    exponent."""
+    for variable in VARIABLES:
+        positive = values[variable][values[variable] > 0]
+        _write_csv(stock_out / f"ccdf_{variable}.csv", ("x", "p"), tails.ccdf(positive) if len(positive) else [])
+    for name, columns in allometry.PAIRS.items():
+        pair_pts = points[:, columns]
+        x_name, y_name = (VARIABLES[c] for c in columns)
+        label = f"{name}_{y_name}_vs_{x_name}"
+        _write_csv(stock_out / f"scatter_{label}.csv", ("log_x", "log_y"), pair_pts.tolist())
+        axis_rows = _axis_rows(pair_pts, slopes[name]) if len(pair_pts) and name in slopes else []
+        _write_csv(stock_out / f"axis_{label}.csv", ("log_x", "log_y"), axis_rows)
+    for name in ("g1", "g2", "g3"):
+        hist_rows = []
+        if firm_fits:
+            counts, edges = np.histogram([getattr(fit, name) for fit in firm_fits.values()], bins=20)
+            hist_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+        _write_csv(stock_out / f"hist_{name}.csv", ("bin_lo", "bin_hi", "count"), hist_rows)
+
+
 def run_analyze(config: RunConfig) -> dict[str, dict]:
-    """Per-stock scaling statistics written under analysis/<stock>/."""
+    """Per-stock scaling statistics written under analysis/<stock>/, and their
+    plot data under plots/<stock>/."""
     # patches.csv alone can be analyzed; the earlier stages' records that are there must agree.
     _, checked = _read_records(config, "analysis/stocks.json", reads=("patches.csv",))
     patches_path = config.out() / "patches.csv"
     by_stock = _by_stock(read_patch_rows(patches_path))
     # Every input is checked: a stock of an earlier run must not outlive it.
-    if (config.out() / "analysis").exists():
-        shutil.rmtree(config.out() / "analysis")
+    for top in ("analysis", "plots"):
+        if (config.out() / top).exists():
+            shutil.rmtree(config.out() / top)
     bootstrap_seed = int(np.random.SeedSequence([config.seed, 3]).generate_state(1)[0])
     names = stock_dir_names(list(by_stock))
     analysis: dict[str, dict] = {}
     # A patches.csv no record names was not hashed by the check.
     files = {"patches.csv": checked.get("patches.csv") or _sha256(patches_path)}
     for stock_id, stock_rows in by_stock.items():
-        summary, jb_table, firm_table = analyze_stock(stock_rows, config, bootstrap_seed)
+        summary, jb_table, firm_fits, values, points = analyze_stock(stock_rows, config, bootstrap_seed)
         stock_out = config.out() / "analysis" / names[stock_id]
         _write_json(stock_out / "summary.json", summary)
         # csv writes a float as its repr.
         _write_csv(stock_out / "lognormality.csv", [f.name for f in fields(lognormal.LognormalityResult)], jb_table)
+        firm_table = map(astuple, firm_fits.values())
         _write_csv(stock_out / "per_firm_exponents.csv", [f.name for f in fields(allometry.FirmExponents)], firm_table)
+        plots_out = config.out() / "plots" / names[stock_id]
+        _write_plots(plots_out, values, points, firm_fits, summary["allometry"]["bivariate"])
         analysis[stock_id] = summary
         files.update({f"analysis/{names[stock_id]}/{name}": _sha256(stock_out / name) for name in ANALYSIS_FILES})
     _write_record(config, "analysis/stocks.json", {"stocks": names, "files": files})
@@ -648,71 +689,23 @@ def _read_analysis(config: RunConfig) -> dict[str, tuple[str, dict]]:
     }
 
 
-def _axis_rows(pair_pts: np.ndarray, slope: float) -> list[tuple[float, float]]:
-    centroid = pair_pts.mean(axis=0)
-    lo = float(pair_pts[:, 0].min())
-    hi = float(pair_pts[:, 0].max())
-    cx, cy = float(centroid[0]), float(centroid[1])
-    return [(lo, cy + slope * (lo - cx)), (cx, cy), (hi, cy + slope * (hi - cx))]
+def emit_plot_data(config: RunConfig) -> None:
+    """Rewrite plots/ as analyze writes it, from patches.csv and analysis/,
+    which must be the files analyze read and wrote.
 
-
-def emit_plot_data(config: RunConfig) -> list[Path]:
-    """CCDF, log-log scatter with fitted axis, and exponent histogram CSVs
-    for every stock of patches.csv, which must be the file analyze read."""
-    return _write_plot_data(config, _read_analysis(config))
-
-
-def _write_plot_data(config: RunConfig, analysis: dict[str, tuple[str, dict]]) -> list[Path]:
-    """emit_plot_data's files, from the stocks _read_analysis returned."""
-    written: list[Path] = []
+    Only the benchmark's replay calls it, to time the plot writing on its
+    own; it goes when the replay does (ROADMAP Open item 1, step c)."""
+    analysis = _read_analysis(config)
     by_stock = _by_stock(read_patch_rows(config.out() / "patches.csv"))
-    # Every input is checked: a stock of an earlier run must not outlive it.
     if (config.out() / "plots").exists():
         shutil.rmtree(config.out() / "plots")
     for stock_id, rows in by_stock.items():
         stock_dir, summary = analysis[stock_id]
-        stock_out = config.out() / "plots" / stock_dir
         directional = patches.select_directional(rows, config.min_patch_trades)
-        values = patches.variables(directional)
-        for variable in VARIABLES:
-            positive = values[variable][values[variable] > 0]
-            pairs = tails.ccdf(positive) if len(positive) else []
-            path = stock_out / f"ccdf_{variable}.csv"
-            _write_csv(path, ("x", "p"), pairs)
-            written.append(path)
-
-        # Each analysis file is the one analyze wrote: no field needs a check.
+        points, _ = allometry.log_points(directional)
+        firm_fits = allometry.per_firm_exponents(directional, config.min_firm_patches)
         slopes = summary["allometry"]["bivariate"]
-        pts, _ = allometry.log_points(directional)
-        for name, columns in allometry.PAIRS.items():
-            pair_pts = pts[:, columns]
-            x_name, y_name = (VARIABLES[c] for c in columns)
-            label = f"{name}_{y_name}_vs_{x_name}"
-            scatter = stock_out / f"scatter_{label}.csv"
-            _write_csv(scatter, ("log_x", "log_y"), pair_pts.tolist())
-            written.append(scatter)
-            axis_path = stock_out / f"axis_{label}.csv"
-            if len(pair_pts) and name in slopes:
-                axis_rows = _axis_rows(pair_pts, slopes[name])
-            else:
-                axis_rows = []
-            _write_csv(axis_path, ("log_x", "log_y"), axis_rows)
-            written.append(axis_path)
-
-        firm_csv = config.out() / "analysis" / stock_dir / "per_firm_exponents.csv"
-        with open(firm_csv, encoding="utf-8", newline="") as handle:
-            firm_fits = list(csv.DictReader(handle))
-        for name in ("g1", "g2", "g3"):
-            vals = [float(fit[name]) for fit in firm_fits]
-            path = stock_out / f"hist_{name}.csv"
-            if vals:
-                counts, edges = np.histogram(vals, bins=20)
-                hist_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
-            else:
-                hist_rows = []
-            _write_csv(path, ("bin_lo", "bin_hi", "count"), hist_rows)
-            written.append(path)
-    return written
+        _write_plots(config.out() / "plots" / stock_dir, patches.variables(directional), points, firm_fits, slopes)
 
 
 def _report_tables(config: RunConfig, report: dict) -> None:
@@ -793,7 +786,8 @@ def _report_tables(config: RunConfig, report: dict) -> None:
 
 
 def run_report(config: RunConfig) -> dict:
-    """Compose report.json, its CSV tables, and the plot-data files."""
+    """Compose report.json and its CSV tables from the stage records and the
+    per-stock summaries.  patches.csv is checked by sha256, not read."""
     out = config.out()
     analysis = _read_analysis(config)
     stocks = {stock_id: summary for stock_id, (_, summary) in analysis.items()}
@@ -813,8 +807,6 @@ def run_report(config: RunConfig) -> dict:
             "patches_total": sum(s["counts"]["patches_total"] for s in stocks.values()),
         },
     }
-    # The plots come first: they read patches.csv, so a report refused for its absence writes nothing.
-    _write_plot_data(config, analysis)
     _write_json(out / "report.json", report)
     _report_tables(config, report)
     # Every record passed its checks, so no stage's failure stands.

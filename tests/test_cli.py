@@ -396,6 +396,8 @@ def test_inconsistent_patch_row_is_data_error(small_run, tmp_path, capsys, direc
         ("sell", {"V_m": "0.0", "V_s": "0.0"}),
         ("buy", {"N_m": "100000"}),
         ("buy", {"start": "-1"}),
+        ("buy", {"V_s": "1e300"}),
+        ("sell", {"V_b": "1e300"}),
     ],
 )
 def test_meaningless_patch_row_is_data_error(small_run, tmp_path, capsys, direction, changes):
@@ -680,6 +682,16 @@ def test_report_refuses_a_hand_edited_patches_csv(small_run, tmp_path, capsys):
     with open(path, "w", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerows(rows)
     _assert_refused(out, ["report", *SMALL_RUN_FLAGS], "patches.csv", "run segment again", capsys)
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_a_missing_patches_csv_is_data_error(small_run, tmp_path, capsys, command):
+    out = _small_run_copy(small_run, tmp_path)
+    (out / "patches.csv").unlink()
+    assert main([command, "--output-dir", str(out), *SMALL_RUN_FLAGS]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{out / 'patches.csv'}: cannot read it" in err and "run segment again" in err
+    assert (out / "analysis" / "SYN").is_dir() and not (out / "report.json").exists()
 
 
 def test_a_rerun_leaves_no_stock_of_the_run_before(small_run, tmp_path, capsys):

@@ -280,12 +280,35 @@ def test_analyze_rerun_is_byte_stable(small_run):
     assert summary_path.read_bytes() == before
 
 
-def test_plot_rerun_is_byte_stable(small_run):
+def _plot_files(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in (out / "plots").rglob("*") if p.is_file()}
+
+
+def test_plot_rerun_is_byte_stable(small_run, tmp_path):
+    # emit_plot_data rebuilds from patches.csv and analysis/ every plot file analyze wrote.
     config, _ = small_run
-    scatter = config.out() / "plots/SYN/scatter_g1_N_m_vs_V_m.csv"
-    before = scatter.read_bytes()
-    emit_plot_data(config)
-    assert scatter.read_bytes() == before
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    shutil.rmtree(out / "plots")
+    emit_plot_data(replace(config, output_dir=str(out)))
+    written = _plot_files(config.out())
+    assert sorted(written) == sorted(name for name in EXPECTED_FILES if name.startswith("plots/"))
+    assert _plot_files(out) == written
+
+
+def test_report_reads_no_patch_rows_and_writes_no_plots(small_run, tmp_path, monkeypatch):
+    config, report = small_run
+    out = tmp_path / "out"
+    shutil.copytree(config.out(), out)
+    shutil.rmtree(out / "plots")
+    (out / "report.json").unlink()
+
+    def refuse(path):
+        raise AssertionError(f"report parsed {path}")
+
+    monkeypatch.setattr(pipeline, "read_patch_rows", refuse)
+    assert pipeline.run_report(replace(config, output_dir=str(out))) == report
+    assert not (out / "plots").exists()
 
 
 # One firm buys 30 trades, then sells 30: two directional patches.
